@@ -14,40 +14,26 @@ import repro.store.{CatalogRow, MaskStore}
   */
 object ScanBaseline {
 
-  private def exactValues(
-      catalog: DataFrame,
-      expr: CpExpr,
-      store: MaskStore,
-  ): Array[(CatalogRow, Double)] = {
-    val spark = catalog.sparkSession
-    import spark.implicits._
-    catalog
-      .as[CatalogRow]
-      .mapPartitions { rows =>
-        rows.map { r =>
-          val m = store.loadPath(r.path)
-          (r, expr.eval(t => m.cp(t.roi.resolve(r), t.range)))
-        }
-      }
-      .collect()
+  /** The first k of `vals` by value, ties broken by ascending `id`. */
+  private def topK[K](vals: Array[(K, Double)], k: Int, descending: Boolean, id: K => Long): Array[(K, Double)] = {
+    val ordered =
+      if (descending) vals.sortBy { case (x, v) => (-v, id(x)) }
+      else vals.sortBy { case (x, v) => (v, id(x)) }
+    ordered.take(k)
   }
 
   /** Mask selection: `WHERE pred`. */
-  def filterMasks(catalog: DataFrame, pred: Predicate, store: MaskStore): FilterVerifyResult = {
-    val spark = catalog.sparkSession
-    import spark.implicits._
-    val loadsBefore = store.loads.value
-    val t0 = System.nanoTime()
-    val rows = catalog
-      .as[CatalogRow]
-      .mapPartitions(rs => rs.filter(r => pred.evalExact(r, store.loadPath(r.path))))
-      .collect()
-    val n = catalog.count()
-    FilterVerifyResult(
-      rows.sortBy(_.mask_id),
-      QueryStats(n, 0, 0, n, store.loads.value - loadsBefore, (System.nanoTime() - t0) / 1_000_000),
-    )
-  }
+  def filterMasks(catalog: DataFrame, pred: Predicate, store: MaskStore): FilterVerifyResult =
+    QueryStats.measure(store) { stats =>
+      val spark = catalog.sparkSession
+      import spark.implicits._
+      val rows = catalog
+        .as[CatalogRow]
+        .mapPartitions(rs => rs.filter(r => pred.evalExact(r, store.loadPath(r.path))))
+        .collect()
+      val n = catalog.count()
+      FilterVerifyResult(rows.sortBy(_.mask_id), stats(n, 0, 0, n))
+    }
 
   /** Top-k masks by `expr` (same tie-break as [[repro.core.TopK]]). */
   def topKMasks(
@@ -56,18 +42,14 @@ object ScanBaseline {
       k: Int,
       descending: Boolean,
       store: MaskStore,
-  ): TopKResult = {
-    val loadsBefore = store.loads.value
-    val t0 = System.nanoTime()
-    val vals = exactValues(catalog, expr, store)
-    val ordered =
-      if (descending) vals.sortBy { case (r, v) => (-v, r.mask_id) }
-      else vals.sortBy { case (r, v) => (v, r.mask_id) }
-    TopKResult(
-      ordered.take(k),
-      QueryStats(vals.length, 0, 0, vals.length, store.loads.value - loadsBefore,
-        (System.nanoTime() - t0) / 1_000_000),
-    )
+  ): TopKResult = QueryStats.measure(store) { stats =>
+    val spark = catalog.sparkSession
+    import spark.implicits._
+    val vals = catalog
+      .as[CatalogRow]
+      .mapPartitions(rows => rows.map(r => (r, expr.exact(r, store.loadPath(r.path)))))
+      .collect()
+    TopKResult(topK(vals, k, descending, (r: CatalogRow) => r.mask_id), stats(vals.length, 0, 0, vals.length))
   }
 
   private def exactGroupValues(
@@ -94,18 +76,10 @@ object ScanBaseline {
       op: CmpOp,
       threshold: Double,
       store: MaskStore,
-  ): GroupFilterResult = {
-    val loadsBefore = store.loads.value
-    val t0 = System.nanoTime()
+  ): GroupFilterResult = QueryStats.measure(store) { stats =>
     val vals = exactGroupValues(catalog, value, store)
-    val pass = vals.collect {
-      case (g, v) if (op == Gt && v > threshold) || (op == Lt && v < threshold) => g
-    }
-    GroupFilterResult(
-      pass.sorted,
-      QueryStats(vals.length, 0, 0, vals.length, store.loads.value - loadsBefore,
-        (System.nanoTime() - t0) / 1_000_000),
-    )
+    val pass = vals.collect { case (g, v) if op.holds(v, threshold) => g }
+    GroupFilterResult(pass.sorted, stats(vals.length, 0, 0, vals.length))
   }
 
   /** Top-k groups by `value`. */
@@ -115,17 +89,8 @@ object ScanBaseline {
       k: Int,
       descending: Boolean,
       store: MaskStore,
-  ): GroupTopKResult = {
-    val loadsBefore = store.loads.value
-    val t0 = System.nanoTime()
+  ): GroupTopKResult = QueryStats.measure(store) { stats =>
     val vals = exactGroupValues(catalog, value, store)
-    val ordered =
-      if (descending) vals.sortBy { case (g, v) => (-v, g) }
-      else vals.sortBy { case (g, v) => (v, g) }
-    GroupTopKResult(
-      ordered.take(k),
-      QueryStats(vals.length, 0, 0, vals.length, store.loads.value - loadsBefore,
-        (System.nanoTime() - t0) / 1_000_000),
-    )
+    GroupTopKResult(topK(vals, k, descending, identity[Long]), stats(vals.length, 0, 0, vals.length))
   }
 }

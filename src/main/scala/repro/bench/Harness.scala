@@ -278,11 +278,9 @@ object Harness {
       val reg = ChiRegistry.broadcast(spark, ChiRegistry.build(spark, sample, loaded.store, cfg))
       ranges.map { case (lv, uv) =>
         val expr = CpExpr.term(ObjectRoi, lv, uv)
-        val rows = sample.as[CatalogRow].map { r =>
-          val (lo, hi) = Predicate.rowBounds(expr, r, reg.value.get(r.mask_id))
-          val area = Roi(r.ox1, r.oy1, r.ox2, r.oy2).area
-          (lo, hi, area)
-        }.collect()
+        val rows = FilterVerify.boundsPerMask(sample, expr, reg).map { case (r, lo, hi) =>
+          (lo, hi, Roi(r.ox1, r.oy1, r.ox2, r.oy2).area)
+        }
         // Exact values to place the example thresholds at the quartiles.
         val store = loaded.store
         val exacts = sample.as[CatalogRow].map { r =>

@@ -7,7 +7,7 @@ import org.apache.spark.sql.catalyst.expressions.codegen.CodegenFallback
 import org.apache.spark.sql.types._
 import org.apache.spark.unsafe.types.UTF8String
 
-import repro.core.{ChiRegistry, Roi, ValueRange}
+import repro.core.{ChiRegistry, CpBounds, Roi, ValueRange}
 import repro.store.MaskStore
 
 /** Numeric coercion for expression arguments: SQL literals arrive as
@@ -111,13 +111,8 @@ final case class ChiBoundExpr(
       toDoubleVal(children(5).eval(input)),
       toDoubleVal(children(6).eval(input)),
     )
-    registry.value.get(maskId) match {
-      case Some(idx) =>
-        val b = idx.bounds(roi, range)
-        if (upper) b.upper else b.lower
-      case None =>
-        if (upper) roi.area else 0L
-    }
+    val b = CpBounds.of(registry.value.get(maskId), roi, range)
+    if (upper) b.upper else b.lower
   }
 
   override protected def withNewChildrenInternal(newChildren: IndexedSeq[Expression]): Expression =

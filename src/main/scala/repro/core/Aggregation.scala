@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.broadcast.Broadcast
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Dataset, Encoder}
 
 import repro.store.{CatalogRow, MaskStore}
 
@@ -51,10 +51,7 @@ final case class ScalarAggValue(agg: ScalarAgg, expr: CpExpr) extends GroupValue
     agg.bounds(rows.map(r => Predicate.rowBounds(expr, r, chi.get(r.mask_id))))
 
   def exact(rows: Seq[CatalogRow], load: CatalogRow => Mask): Double =
-    agg.exact(rows.map { r =>
-      val m = load(r)
-      expr.eval(t => m.cp(t.roi.resolve(r), t.range))
-    })
+    agg.exact(rows.map(r => expr.exact(r, load(r))))
 }
 
 /** `CP(INTERSECT(masks of the group), roi, range)` where INTERSECT is the
@@ -76,13 +73,7 @@ final case class IntersectCpValue(roi: RoiSpec, range: ValueRange) extends Group
     val r0 = roi.resolve(rows.head)
     val area = r0.area
     if (t >= 1.0) return (0L, 0L)
-    val per = rows.map { row =>
-      val rr = roi.resolve(row)
-      chi.get(row.mask_id) match {
-        case Some(idx) => idx.bounds(rr, ValueRange(t, 1.0))
-        case None      => CpBounds(0L, rr.area)
-      }
-    }
+    val per = rows.map(row => CpBounds.of(chi.get(row.mask_id), roi.resolve(row), ValueRange(t, 1.0)))
     val hi = per.map(_.upper).min
     val lo = math.max(0L, per.map(_.lower).sum - (rows.size - 1) * area)
     (math.min(lo, hi), hi)
@@ -121,48 +112,18 @@ final case class GroupTopKResult(groups: Array[(Long, Double)], stats: QueryStat
   */
 object Aggregation {
 
-  /** Per-group bounds via a distributed group-by over the catalog. */
-  private def groupBounds(
-      catalog: DataFrame,
-      value: GroupValue,
-      chi: Broadcast[ChiRegistry],
-  ): Array[(Long, Double, Double, Int)] = {
-    val spark = catalog.sparkSession
-    import spark.implicits._
-    catalog
-      .as[CatalogRow]
-      .groupByKey(_.image_id)
-      .mapGroups { (img, it) =>
-        val rows = it.toSeq.sortBy(_.mask_id)
-        val (lo, hi) = value.bounds(rows, chi.value)
-        (img, lo, hi, rows.size)
-      }
-      .collect()
+  /** `f(image_id, member rows by mask_id)` for every group, via a
+    * distributed group-by over `rows`.
+    */
+  private def perGroup[T: Encoder](rows: Dataset[CatalogRow])(f: (Long, Seq[CatalogRow]) => T): Array[T] = {
+    import rows.sparkSession.implicits._
+    rows.groupByKey(_.image_id).mapGroups((img, it) => f(img, it.toSeq.sortBy(_.mask_id))).collect()
   }
 
-  /** Exact group values for the given group ids (loads every member mask). */
-  private def verifyGroups(
-      catalog: DataFrame,
-      value: GroupValue,
-      groupIds: Set[Long],
-      store: MaskStore,
-  ): Array[(Long, Double)] = {
-    if (groupIds.isEmpty) return Array.empty
-    val spark = catalog.sparkSession
-    import spark.implicits._
-    val idsBc = spark.sparkContext.broadcast(groupIds)
-    catalog
-      .as[CatalogRow]
-      .filter(r => idsBc.value.contains(r.image_id))
-      .groupByKey(_.image_id)
-      .mapGroups { (img, it) =>
-        val rows = it.toSeq.sortBy(_.mask_id)
-        (img, value.exact(rows, r => store.loadPath(r.path)))
-      }
-      .collect()
-  }
-
-  /** `HAVING value op T` over groups. Returns the qualifying image ids. */
+  /** `HAVING value op T` over groups. Returns the qualifying image ids. Both
+    * stages run in one group-by pass: each group is classified from its
+    * bounds, and only a Case 3 group loads its members.
+    */
   def filterGroups(
       catalog: DataFrame,
       value: GroupValue,
@@ -170,36 +131,20 @@ object Aggregation {
       threshold: Double,
       store: MaskStore,
       chi: Broadcast[ChiRegistry],
-  ): GroupFilterResult = {
-    val loadsBefore = store.loads.value
-    val t0 = System.nanoTime()
-    val pred = Predicate(CpExpr.term(FullRoi, 0, 1), op, threshold) // classify() only
-    val gb = groupBounds(catalog, value, chi)
-
-    val direct = gb.collect { case (g, lo, hi, _) if pred.classify(lo, hi) == FilterOutcome.Pass => g }
-    val uncertain = gb.collect { case (g, lo, hi, _) if pred.classify(lo, hi) == FilterOutcome.Uncertain => g }
-    val nPruned = gb.length - direct.length - uncertain.length
-
-    val verified = verifyGroups(catalog, value, uncertain.toSet, store).collect {
-      case (g, v) if (op == Gt && v > threshold) || (op == Lt && v < threshold) => g
+  ): GroupFilterResult = QueryStats.measure(store) { stats =>
+    import catalog.sparkSession.implicits._
+    val decided = perGroup(catalog.as[CatalogRow]) { (img, rows) =>
+      val (lo, hi) = value.bounds(rows, chi.value)
+      FilterVerify.decide(img, op.classify(lo, hi, threshold)) {
+        op.holds(value.exact(rows, r => store.loadPath(r.path)), threshold)
+      }
     }
-
-    GroupFilterResult(
-      (direct ++ verified).sorted,
-      QueryStats(
-        nTargeted = gb.length,
-        nPruned = nPruned,
-        nDirect = direct.length,
-        nUncertain = uncertain.length,
-        masksLoaded = store.loads.value - loadsBefore,
-        elapsedMs = (System.nanoTime() - t0) / 1_000_000,
-      ),
-    )
+    val (groups, st) = FilterVerify.tally(decided, stats)
+    GroupFilterResult(groups.sorted, st)
   }
 
-  /** Top-k groups by `value` (two-phase variant of §3.5, as in [[TopK]]:
-    * seed with the k groups ranked best by bound, take τ from their exact
-    * values, prune the rest against τ).
+  /** Top-k groups by `value` ([[TopK.boundPruned]] over index-only group
+    * bounds; verifying a group loads all its members).
     */
   def topKGroups(
       catalog: DataFrame,
@@ -208,48 +153,19 @@ object Aggregation {
       descending: Boolean,
       store: MaskStore,
       chi: Broadcast[ChiRegistry],
-  ): GroupTopKResult = {
-    val loadsBefore = store.loads.value
-    val t0 = System.nanoTime()
-    val gb = groupBounds(catalog, value, chi)
-
-    // Point bounds pin a group's exact value from the index alone — no load.
-    def resolve(groups: Array[(Long, Double, Double, Int)]): Array[(Long, Double)] = {
-      val (known, unknown) = groups.partition(g => g._2 == g._3)
-      known.map(g => (g._1, g._2)) ++ verifyGroups(catalog, value, unknown.map(_._1).toSet, store)
+  ): GroupTopKResult = QueryStats.measure(store) { stats =>
+    import catalog.sparkSession.implicits._
+    val targeted = catalog.as[CatalogRow]
+    val bounds = perGroup(targeted) { (img, rows) =>
+      val (lo, hi) = value.bounds(rows, chi.value)
+      (img, lo, hi)
     }
-
-    val exact: Array[(Long, Double)] =
-      if (gb.length <= k) resolve(gb)
-      else {
-        val ranked =
-          if (descending) gb.sortBy { case (g, _, hi, _) => (-hi, g) }
-          else gb.sortBy { case (g, lo, _, _) => (lo, g) }
-        val seed = resolve(ranked.take(k))
-        val tau =
-          if (descending) seed.map(_._2).sorted(Ordering[Double].reverse).apply(k - 1)
-          else seed.map(_._2).sorted.apply(k - 1)
-        val rest = ranked.drop(k)
-        val candidates =
-          if (descending) rest.filter { case (_, _, hi, _) => hi >= tau }
-          else rest.filter { case (_, lo, _, _) => lo <= tau }
-        seed ++ resolve(candidates)
+    val (top, nResolved) = TopK.boundPruned(bounds, k, descending, identity[Long]) { groups =>
+      val ids = catalog.sparkSession.sparkContext.broadcast(groups.toSet)
+      perGroup(targeted.filter(r => ids.value.contains(r.image_id))) { (img, rows) =>
+        (img, value.exact(rows, r => store.loadPath(r.path)))
       }
-
-    val ordered =
-      if (descending) exact.sortBy { case (g, v) => (-v, g) }
-      else exact.sortBy { case (g, v) => (v, g) }
-
-    GroupTopKResult(
-      ordered.take(k),
-      QueryStats(
-        nTargeted = gb.length,
-        nPruned = gb.length - exact.length,
-        nDirect = 0,
-        nUncertain = exact.length,
-        masksLoaded = store.loads.value - loadsBefore,
-        elapsedMs = (System.nanoTime() - t0) / 1_000_000,
-      ),
-    )
+    }
+    GroupTopKResult(top, stats(bounds.length, bounds.length - nResolved, 0, nResolved))
   }
 }

@@ -161,6 +161,14 @@ final case class CpBounds(lower: Long, upper: Long) {
 
 object CpBounds {
   def point(v: Long): CpBounds = CpBounds(v, v)
+
+  /** Bounds on `CP(mask, roi, range)` from the mask's CHI; a mask with no
+    * index gets the trivial bounds `[0, |roi|]`.
+    */
+  def of(idx: Option[ChiIndex], roi: Roi, range: ValueRange): CpBounds = idx match {
+    case Some(i) => i.bounds(roi, range)
+    case None    => CpBounds(0L, roi.area)
+  }
 }
 
 object ChiIndex {

@@ -1,7 +1,9 @@
 package repro.core
 
+import scala.reflect.ClassTag
+
 import org.apache.spark.broadcast.Broadcast
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 
 import repro.store.{CatalogRow, MaskStore}
 
@@ -20,90 +22,103 @@ final case class QueryStats(
   def fml: Double = if (nTargeted == 0) 0.0 else masksLoaded.toDouble / nTargeted
 }
 
+object QueryStats {
+
+  /** Stamps a query's Case split `(nTargeted, nPruned, nDirect, nUncertain)`
+    * with the masks loaded and the time elapsed since the query started.
+    */
+  type Stamp = (Long, Long, Long, Long) => QueryStats
+
+  /** Runs one query against `store`. The query calls the [[Stamp]] it is
+    * given once its Case split is known; the stamp measures the loads the
+    * store counted and the wall time since `measure` was entered.
+    */
+  def measure[R](store: MaskStore)(query: Stamp => R): R = {
+    val loadsBefore = store.loads.value
+    val t0 = System.nanoTime()
+    query((nTargeted, nPruned, nDirect, nUncertain) =>
+      QueryStats(nTargeted, nPruned, nDirect, nUncertain, store.loads.value - loadsBefore,
+        (System.nanoTime() - t0) / 1_000_000))
+  }
+}
+
 /** Result of a mask-selection query: the catalog rows of the masks that
   * satisfy the predicate, plus execution statistics.
   */
 final case class FilterVerifyResult(rows: Array[CatalogRow], stats: QueryStats) {
   def maskIds: Array[Long] = rows.map(_.mask_id).sorted
-  def toDF(spark: SparkSession): DataFrame = {
-    import spark.implicits._
-    rows.toSeq.toDF()
-  }
 }
 
-/** The paper's filter–verification query execution framework (§3.2) for
-  * mask-selection predicates.
+/** The paper's filter–verification query execution framework (§3.2).
   *
-  * Filter stage: a distributed DataFrame scan over the *catalog only* (no
-  * mask bytes) classifies every targeted mask via its CHI bounds into
-  * guaranteed-fail / guaranteed-pass / uncertain. Verification stage: only
-  * the uncertain masks are loaded from disk (counted by the store) and the
-  * exact predicate is applied. Results are exact by construction.
+  * Filter stage: every targeted item (a mask, or a group of masks) is
+  * classified from index-only bounds into guaranteed-fail / guaranteed-pass /
+  * uncertain ([[CmpOp.classify]]). Verification stage: only the uncertain
+  * items are loaded from disk (counted by the store) and tested exactly.
+  * Results are exact by construction. [[execute]] runs it for masks;
+  * [[Aggregation.filterGroups]] and [[IncrementalSession.runFilter]] run the
+  * same two stages through [[decide]] and [[tally]].
   */
 object FilterVerify {
+
+  /** One item through both stages: its filter-stage outcome and whether it
+    * qualifies. `verify` — the exact test, which loads — runs in Case 3 only.
+    */
+  private[core] def decide[K](item: K, outcome: Int)(verify: => Boolean): (K, Int, Boolean) =
+    (item, outcome, outcome match {
+      case FilterOutcome.Pass => true
+      case FilterOutcome.Fail => false
+      case _                  => verify
+    })
+
+  /** The qualifying items of a filter–verification pass and its stats. */
+  private[core] def tally[K: ClassTag](decided: Array[(K, Int, Boolean)], stats: QueryStats.Stamp): (Array[K], QueryStats) = {
+    val nDirect = decided.count(_._2 == FilterOutcome.Pass)
+    val nUncertain = decided.count(_._2 == FilterOutcome.Uncertain)
+    val n = decided.length.toLong
+    (decided.collect { case (x, _, true) => x }, stats(n, n - nDirect - nUncertain, nDirect, nUncertain))
+  }
 
   def execute(
       catalog: DataFrame,
       pred: Predicate,
       store: MaskStore,
       chi: Broadcast[ChiRegistry],
-  ): FilterVerifyResult = {
+  ): FilterVerifyResult = QueryStats.measure(store) { stats =>
     val spark = catalog.sparkSession
     import spark.implicits._
-    val loadsBefore = store.loads.value
-    val t0 = System.nanoTime()
-
     // Both stages fused in one distributed pass: every task classifies its
     // masks from the broadcast CHI (no disk) and immediately verifies the
     // uncertain ones by loading them — the mask-level parallelism of §3.2.1
     // with a single job's scheduling overhead.
-    val classified = catalog
+    val decided = catalog
       .as[CatalogRow]
       .mapPartitions { rows =>
         rows.map { r =>
-          val outcome = pred.classifyRow(r, chi.value.get(r.mask_id))
-          val passed = outcome match {
-            case FilterOutcome.Pass      => true
-            case FilterOutcome.Fail      => false
-            case FilterOutcome.Uncertain => pred.evalExact(r, store.loadPath(r.path))
-          }
-          (r, outcome, passed)
+          decide(r, pred.classifyRow(r, chi.value.get(r.mask_id)))(pred.evalExact(r, store.loadPath(r.path)))
         }
       }
       .collect() // catalog metadata only — small relative to mask bytes
-
-    val nDirect = classified.count(_._2 == FilterOutcome.Pass)
-    val nUncertain = classified.count(_._2 == FilterOutcome.Uncertain)
-
-    val elapsed = (System.nanoTime() - t0) / 1_000_000
-    FilterVerifyResult(
-      classified.collect { case (r, _, true) => r }.sortBy(_.mask_id),
-      QueryStats(
-        nTargeted = classified.length,
-        nPruned = classified.length - nDirect - nUncertain,
-        nDirect = nDirect,
-        nUncertain = nUncertain,
-        masksLoaded = store.loads.value - loadsBefore,
-        elapsedMs = elapsed,
-      ),
-    )
+    val (rows, st) = tally(decided, stats)
+    FilterVerifyResult(rows.sortBy(_.mask_id), st)
   }
 
-  /** Bounds of `expr` for every targeted mask — used by the bench that
-    * reproduces the paper's Figure 10 bound-distribution analysis.
+  /** Index-only bounds `(row, lower, upper)` of `expr` for every targeted
+    * mask: the filter stage of [[TopK.masks]] and the data of the paper's
+    * Figure 10 bound-distribution analysis.
     */
   def boundsPerMask(
       catalog: DataFrame,
       expr: CpExpr,
       chi: Broadcast[ChiRegistry],
-  ): Array[(Long, Double, Double)] = {
+  ): Array[(CatalogRow, Double, Double)] = {
     val spark = catalog.sparkSession
     import spark.implicits._
     catalog
       .as[CatalogRow]
       .map { r =>
         val (lo, hi) = Predicate.rowBounds(expr, r, chi.value.get(r.mask_id))
-        (r.mask_id, lo, hi)
+        (r, lo, hi)
       }
       .collect()
   }

@@ -36,64 +36,44 @@ final class IncrementalSession(
   /** A snapshot of the current registry. */
   def snapshot: ChiRegistry = new ChiRegistry(cfg, registry.toMap)
 
-  /** Execute a Filter query over the given targeted catalog rows. */
-  def runFilter(target: Seq[CatalogRow], pred: Predicate): FilterVerifyResult = {
+  /** Execute a Filter query over the given targeted catalog rows.
+    *
+    * The filter stage runs on the driver against the session's registry,
+    * which is never broadcast: it changes with every query. An unindexed
+    * mask is Case 3 by definition — it is loaded anyway, to index it. One
+    * Spark job then loads every Case 3 mask, verifies it, and builds the CHI
+    * of the unindexed ones, which are merged into the registry.
+    */
+  def runFilter(target: Seq[CatalogRow], pred: Predicate): FilterVerifyResult = QueryStats.measure(store) { stats =>
     import spark.implicits._
-    val loadsBefore = store.loads.value
-    val t0 = System.nanoTime()
-
-    val (indexed, unindexed) = target.partition(r => registry.contains(r.mask_id))
+    val outcomes = target.map { r =>
+      (r, if (registry.contains(r.mask_id)) pred.classifyRow(r, registry.get(r.mask_id)) else FilterOutcome.Uncertain)
+    }
+    val toLoad = outcomes.collect { case (r, FilterOutcome.Uncertain) => (r, !registry.contains(r.mask_id)) }
 
     // Local copies so task closures don't capture `this` (holds SparkSession).
     val cfgLocal = cfg
     val storeLocal = store
-    val predLocal = pred
-
-    // Indexed masks: standard filter stage on the driver-held registry.
-    val classified = indexed.map(r => (r, pred.classifyRow(r, registry.get(r.mask_id))))
-    val direct = classified.collect { case (r, s) if s == FilterOutcome.Pass => r }
-    val uncertain = classified.collect { case (r, s) if s == FilterOutcome.Uncertain => r }
-    val nPruned = indexed.size - direct.size - uncertain.size
-
-    val verified: Array[CatalogRow] =
-      if (uncertain.isEmpty) Array.empty
+    val loaded: Array[(CatalogRow, Boolean, Option[Array[Int]])] =
+      if (toLoad.isEmpty) Array.empty
       else
         spark
-          .createDataset(uncertain.toIndexedSeq)
-          .mapPartitions(rows => rows.filter(r => predLocal.evalExact(r, storeLocal.loadPath(r.path))))
-          .collect()
-
-    // Unindexed masks: load, evaluate exactly, and build their CHI en route.
-    val fresh: Array[(CatalogRow, Boolean, Long, Int, Int, Array[Int])] =
-      if (unindexed.isEmpty) Array.empty
-      else
-        spark
-          .createDataset(unindexed.toIndexedSeq)
+          .createDataset(toLoad)
           .mapPartitions { rows =>
-            rows.map { r =>
+            rows.map { case (r, unindexed) =>
               val m = storeLocal.loadPath(r.path)
-              val idx = ChiIndex.build(m, cfgLocal)
-              (r, predLocal.evalExact(r, m), idx.maskId, idx.w, idx.h, idx.counts)
+              (r, pred.evalExact(r, m), if (unindexed) Some(ChiIndex.build(m, cfgLocal).counts) else None)
             }
           }
           .collect()
 
-    fresh.foreach { case (_, _, id, w, h, counts) =>
-      registry.update(id, new ChiIndex(id, w, h, cfg, counts))
+    loaded.foreach { case (r, _, counts) =>
+      counts.foreach(c => registry.update(r.mask_id, new ChiIndex(r.mask_id, r.w, r.h, cfg, c)))
     }
-    val freshPass = fresh.collect { case (r, true, _, _, _, _) => r }
-
-    FilterVerifyResult(
-      (direct ++ verified ++ freshPass).sortBy(_.mask_id).toArray,
-      QueryStats(
-        nTargeted = target.size,
-        nPruned = nPruned,
-        nDirect = direct.size,
-        nUncertain = uncertain.size + unindexed.size,
-        masksLoaded = store.loads.value - loadsBefore,
-        elapsedMs = (System.nanoTime() - t0) / 1_000_000,
-      ),
-    )
+    val verified = loaded.map { case (r, ok, _) => r.mask_id -> ok }.toMap
+    val (rows, st) = FilterVerify.tally(
+      outcomes.map { case (r, o) => FilterVerify.decide(r, o)(verified(r.mask_id)) }.toArray, stats)
+    FilterVerifyResult(rows.sortBy(_.mask_id), st)
   }
 
   /** Persist the registry built so far (end-of-session step of §3.6). */

@@ -44,6 +44,9 @@ sealed trait CpExpr extends Serializable {
     case CpScale(c, e) => c * e.eval(cp)
   }
 
+  /** Exact value for one loaded mask. */
+  def exact(row: CatalogRow, mask: Mask): Double = eval(t => mask.cp(t.roi.resolve(row), t.range))
+
   /** Interval bounds given per-term bounds. */
   def bounds(cp: CpTerm => CpBounds): (Double, Double) = this match {
     case CpTermExpr(t) =>
@@ -69,10 +72,30 @@ object CpExpr {
     CpTermExpr(CpTerm(roi, ValueRange(lv, uv)))
 }
 
-/** Comparison operator of a one-sided predicate. */
-sealed trait CmpOp extends Serializable
-case object Gt extends CmpOp
-case object Lt extends CmpOp
+/** Comparison operator of a one-sided predicate `v op T`. It owns both
+  * decisions every engine makes about `op`: the exact test, and the filter
+  * stage's Case 1/2/3 from bounds `lower ≤ v ≤ upper` (§3.2.1 step 2 and its
+  * §3.3 mirror for `<`). Classification is conservative on ties, matching the
+  * strict inequalities of the paper's three cases.
+  */
+sealed trait CmpOp extends Serializable {
+  def holds(v: Double, t: Double): Boolean
+  def classify(lower: Double, upper: Double, t: Double): Int
+}
+case object Gt extends CmpOp {
+  def holds(v: Double, t: Double): Boolean = v > t
+  def classify(lower: Double, upper: Double, t: Double): Int =
+    if (upper <= t) FilterOutcome.Fail
+    else if (lower > t) FilterOutcome.Pass
+    else FilterOutcome.Uncertain
+}
+case object Lt extends CmpOp {
+  def holds(v: Double, t: Double): Boolean = v < t
+  def classify(lower: Double, upper: Double, t: Double): Int =
+    if (lower >= t) FilterOutcome.Fail
+    else if (upper < t) FilterOutcome.Pass
+    else FilterOutcome.Uncertain
+}
 
 /** Outcome of the filter stage for one mask (§3.2.1 step 2). */
 object FilterOutcome {
@@ -85,32 +108,12 @@ object FilterOutcome {
 final case class Predicate(expr: CpExpr, op: CmpOp, threshold: Double) {
 
   /** Exact evaluation for a loaded mask. */
-  def evalExact(row: CatalogRow, mask: Mask): Boolean = {
-    val v = expr.eval(t => mask.cp(t.roi.resolve(row), t.range))
-    op match {
-      case Gt => v > threshold
-      case Lt => v < threshold
-    }
-  }
+  def evalExact(row: CatalogRow, mask: Mask): Boolean = op.holds(expr.exact(row, mask), threshold)
 
-  /** Filter-stage classification from CHI bounds (§3.2.1 step 2 and its §3.3
-    * mirror for `<`). Conservative on ties, matching the strict inequalities
-    * of the paper's three cases.
-    */
-  def classify(lower: Double, upper: Double): Int = op match {
-    case Gt =>
-      if (upper <= threshold) FilterOutcome.Fail
-      else if (lower > threshold) FilterOutcome.Pass
-      else FilterOutcome.Uncertain
-    case Lt =>
-      if (lower >= threshold) FilterOutcome.Fail
-      else if (upper < threshold) FilterOutcome.Pass
-      else FilterOutcome.Uncertain
-  }
+  /** Filter-stage classification from bounds on `expr`. */
+  def classify(lower: Double, upper: Double): Int = op.classify(lower, upper, threshold)
 
-  /** Classification for one catalog row via its CHI (absent index ⇒ trivially
-    * uncertain bounds `[0, |roi|]`).
-    */
+  /** Classification for one catalog row via its CHI. */
   def classifyRow(row: CatalogRow, chi: Option[ChiIndex]): Int = {
     val (lo, hi) = Predicate.rowBounds(expr, row, chi)
     classify(lo, hi)
@@ -120,11 +123,5 @@ final case class Predicate(expr: CpExpr, op: CmpOp, threshold: Double) {
 object Predicate {
   /** Interval bounds of `expr` for one catalog row. */
   def rowBounds(expr: CpExpr, row: CatalogRow, chi: Option[ChiIndex]): (Double, Double) =
-    expr.bounds { t =>
-      val roi = t.roi.resolve(row)
-      chi match {
-        case Some(idx) => idx.bounds(roi, t.range)
-        case None      => CpBounds(0L, roi.area)
-      }
-    }
+    expr.bounds(t => CpBounds.of(chi, t.roi.resolve(row), t.range))
 }

@@ -1,5 +1,7 @@
 package repro.core
 
+import scala.reflect.ClassTag
+
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.DataFrame
 
@@ -27,61 +29,41 @@ final case class TopKResult(rows: Array[(CatalogRow, Double)], stats: QueryStats
   */
 object TopK {
 
-  def masks(
-      catalog: DataFrame,
-      expr: CpExpr,
+  /** The two phases above for any keyed items — masks here, groups in
+    * [[Aggregation.topKGroups]]. `bounds` holds `(item, lower, upper)`;
+    * `verify` computes the exact values of the items it is given (loading
+    * them) and is called only with a non-empty set. Returns the top k as
+    * `(item, exact value)`, best first with ties broken by ascending `id`,
+    * and the number of items whose exact value was resolved.
+    */
+  private[core] def boundPruned[K: ClassTag](
+      bounds: Array[(K, Double, Double)],
       k: Int,
       descending: Boolean,
-      store: MaskStore,
-      chi: Broadcast[ChiRegistry],
-  ): TopKResult = {
-    val spark = catalog.sparkSession
-    import spark.implicits._
-    val loadsBefore = store.loads.value
-    val t0 = System.nanoTime()
-
-    // Filter stage: index-only bounds for every targeted mask.
-    val bounds = catalog
-      .as[CatalogRow]
-      .map { r =>
-        val (lo, hi) = Predicate.rowBounds(expr, r, chi.value.get(r.mask_id))
-        (r, lo, hi)
-      }
-      .collect()
-
-    def verify(rows: Array[CatalogRow]): Array[(CatalogRow, Double)] =
-      if (rows.isEmpty) Array.empty
-      else
-        spark
-          .createDataset(rows.toIndexedSeq)
-          .mapPartitions { rs =>
-            rs.map { r =>
-              val m = store.loadPath(r.path)
-              (r, expr.eval(t => m.cp(t.roi.resolve(r), t.range)))
-            }
-          }
-          .collect()
+      id: K => Long,
+  )(verify: Array[K] => Array[(K, Double)]): (Array[(K, Double)], Int) = {
+    require(k > 0, s"top-k needs k > 0, got k = $k")
 
     // Point bounds (lower == upper) pin the exact value from the index alone
     // — the top-k analogue of the filter stage's Case 1/2: no load needed.
-    def resolve(rows: Array[(CatalogRow, Double, Double)]): Array[(CatalogRow, Double)] = {
-      val (known, unknown) = rows.partition(t => t._2 == t._3)
-      known.map(t => (t._1, t._2)) ++ verify(unknown.map(_._1))
+    def resolve(items: Array[(K, Double, Double)]): Array[(K, Double)] = {
+      val (known, unknown) = items.partition(t => t._2 == t._3)
+      known.map(t => (t._1, t._2)) ++ (if (unknown.isEmpty) Array.empty[(K, Double)] else verify(unknown.map(_._1)))
     }
 
-    val exact: Array[(CatalogRow, Double)] =
+    val exact: Array[(K, Double)] =
       if (bounds.length <= k) resolve(bounds)
       else {
-        // Phase 1: seed with the k most promising masks (by upper bound for
+        // Phase 1: seed with the k most promising items (by upper bound for
         // descending order, lower bound for ascending) and get exact values.
         val ranked =
-          if (descending) bounds.sortBy { case (r, _, hi) => (-hi, r.mask_id) }
-          else bounds.sortBy { case (r, lo, _) => (lo, r.mask_id) }
+          if (descending) bounds.sortBy { case (x, _, hi) => (-hi, id(x)) }
+          else bounds.sortBy { case (x, lo, _) => (lo, id(x)) }
         val seed = resolve(ranked.take(k))
         val tau =
           if (descending) seed.map(_._2).sorted(Ordering[Double].reverse).apply(k - 1)
           else seed.map(_._2).sorted.apply(k - 1)
-        // Phase 2: a remaining mask survives only if its bound can meet τ.
+        // Phase 2: a remaining item survives only if its bound can meet τ.
         val rest = ranked.drop(k)
         val candidates =
           if (descending) rest.filter { case (_, _, hi) => hi >= tau }
@@ -90,21 +72,29 @@ object TopK {
       }
 
     val ordered =
-      if (descending) exact.sortBy { case (r, v) => (-v, r.mask_id) }
-      else exact.sortBy { case (r, v) => (v, r.mask_id) }
-    val top = ordered.take(k)
+      if (descending) exact.sortBy { case (x, v) => (-v, id(x)) }
+      else exact.sortBy { case (x, v) => (v, id(x)) }
+    (ordered.take(k), exact.length)
+  }
 
-    val elapsed = (System.nanoTime() - t0) / 1_000_000
-    TopKResult(
-      top,
-      QueryStats(
-        nTargeted = bounds.length,
-        nPruned = bounds.length - exact.length,
-        nDirect = 0,
-        nUncertain = exact.length,
-        masksLoaded = store.loads.value - loadsBefore,
-        elapsedMs = elapsed,
-      ),
-    )
+  def masks(
+      catalog: DataFrame,
+      expr: CpExpr,
+      k: Int,
+      descending: Boolean,
+      store: MaskStore,
+      chi: Broadcast[ChiRegistry],
+  ): TopKResult = QueryStats.measure(store) { stats =>
+    val spark = catalog.sparkSession
+    import spark.implicits._
+    val bounds = FilterVerify.boundsPerMask(catalog, expr, chi)
+    val (top, nResolved) = boundPruned(bounds, k, descending, (r: CatalogRow) => r.mask_id) { rows =>
+      spark
+        .createDataset(rows.toIndexedSeq)
+        .mapPartitions(rs => rs.map(r => (r, expr.exact(r, store.loadPath(r.path)))))
+        .collect()
+    }
+    // Every resolved mask counts as uncertain, point-bound ones included.
+    TopKResult(top, stats(bounds.length, bounds.length - nResolved, 0, nResolved))
   }
 }

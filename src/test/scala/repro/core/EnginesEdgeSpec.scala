@@ -52,6 +52,17 @@ class EnginesEdgeSpec extends SparkSpec {
     assert(ms.groupIds.toSeq == base.groupIds.toSeq)
   }
 
+  test("top-k rejects k <= 0 on masks and on groups") {
+    val expr = CpExpr.term(ObjectRoi, 0.6, 1.0)
+    for (k <- Seq(0, -1)) {
+      val masks = intercept[IllegalArgumentException](TopK.masks(catalog, expr, k, descending = true, store, chiBc))
+      assert(masks.getMessage.contains(s"k = $k"))
+      val groups = intercept[IllegalArgumentException](
+        Aggregation.topKGroups(catalog, ScalarAggValue(AvgAgg, expr), k, descending = false, store, chiBc))
+      assert(groups.getMessage.contains(s"k = $k"))
+    }
+  }
+
   test("three-model INTERSECT aggregation matches the baseline") {
     val value = IntersectCpValue(ObjectRoi, ValueRange(0.5, 1.0))
     val ms = Aggregation.filterGroups(catalog, value, Gt, 10, store, chiBc)

@@ -88,7 +88,7 @@ class FilterVerifySpec extends SparkSpec {
 
   test("boundsPerMask covers every targeted mask and is sound") {
     val e = CpExpr.term(ObjectRoi, 0.6, 1.0)
-    val bounds = FilterVerify.boundsPerMask(catalogM1, e, chiBc).toMap2
+    val bounds = FilterVerify.boundsPerMask(catalogM1, e, chiBc).map { case (r, lo, hi) => r.mask_id -> (lo, hi) }.toMap
     assert(bounds.size == ds.nImages)
     // Spot-check soundness against exact values for a few masks.
     catalogM1.limit(5).collect().foreach { row =>
@@ -99,9 +99,5 @@ class FilterVerifySpec extends SparkSpec {
       val (lo, hi) = bounds(id)
       assert(lo <= exact && exact <= hi)
     }
-  }
-
-  private implicit class Tuple3Ops(arr: Array[(Long, Double, Double)]) {
-    def toMap2: Map[Long, (Double, Double)] = arr.map { case (id, lo, hi) => id -> (lo, hi) }.toMap
   }
 }
