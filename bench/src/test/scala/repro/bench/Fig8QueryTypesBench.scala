@@ -11,7 +11,7 @@ class Fig8QueryTypesBench extends SparkSpec {
   test("Figure 8: query-time distribution per query type") {
     val runs = BenchData.all.flatMap { bd =>
       val loaded = BenchData.load(spark, bd)
-      Harness.runFig8(spark, loaded, nPerType = 15, seed = 8)
+      Harness.runFig8(loaded, nPerType = 15, seed = 8)
     }
     Harness.printFig8(runs)
 

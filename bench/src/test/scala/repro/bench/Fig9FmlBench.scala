@@ -12,7 +12,7 @@ class Fig9FmlBench extends SparkSpec {
   test("Figure 9: query time is driven by the fraction of masks loaded") {
     BenchData.all.foreach { bd =>
       val loaded = BenchData.load(spark, bd)
-      val (pts, r) = Harness.runFig9(spark, loaded, nQueries = 40, seed = 9)
+      val (pts, r) = Harness.runFig9(loaded, nQueries = 40, seed = 9)
       Harness.printFig9(bd.name, pts, r)
       // At lite scale per-query dataflow overhead adds noise (most queries
       // sit at FML ≈ 0 where scheduling jitter dominates), so the correlation

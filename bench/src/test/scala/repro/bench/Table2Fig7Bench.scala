@@ -16,7 +16,7 @@ class Table2Fig7Bench extends SparkSpec {
         f"index ratio ${bd.indexRatio * 100}%.1f%% (CHI build ${loaded.buildMs} ms)")
       Queries.forDataset(bd, Queries.paperSideFor(bd)).foreach(q =>
         println(s"   ${q.id}: ${q.description}"))
-      Harness.runTable2Fig7(spark, loaded)
+      Harness.runTable2Fig7(loaded)
     }
     val buildMs = BenchData.all.map(bd => bd.name -> BenchData.load(spark, bd).buildMs).toMap
     Harness.printTable2Fig7(runs, buildMs)

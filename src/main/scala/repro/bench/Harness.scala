@@ -1,8 +1,10 @@
 package repro.bench
 
-import java.nio.file.{Files, Paths, StandardOpenOption}
+import java.nio.file.{Files, Path, Paths}
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import scala.util.Random
+
+import org.apache.spark.sql.SparkSession
 
 import repro.baseline.ScanBaseline
 import repro.core._
@@ -10,8 +12,8 @@ import repro.store.CatalogRow
 import repro.workload.Workloads
 
 /** Shared benchmark harness: runs the experiments behind the paper's Table 2
-  * and Figures 7–11 and prints their rows. Used both by the `bench/` test
-  * suites and the `jobs/` spark-submit entrypoints. Each runner also
+  * and Figures 7–11, prints their tables and writes their rows as TSVs. Used
+  * by the `bench/` test suites, one per artifact. Each runner also
   * cross-checks MaskSearch results against the scan baseline, so a bench run
   * doubles as an integration test at benchmark scale.
   */
@@ -29,24 +31,26 @@ object Harness {
 
   private val resultsDir = "target/bench-results"
 
-  def appendTsv(file: String, header: String, lines: Seq[String]): Unit = {
+  /** Write `rows` to `target/bench-results/<file>`: a header of the row
+    * type's field names, then one tab-separated line per row.
+    */
+  def writeTsv(file: String, rows: Seq[Product]): Path = {
+    val lines = rows.headOption.map(_.productElementNames.toSeq).toSeq ++ rows.map(_.productIterator.toSeq)
     Files.createDirectories(Paths.get(resultsDir))
-    val p = Paths.get(resultsDir, file)
-    val content = (header +: lines).mkString("", "\n", "\n")
-    Files.write(p, content.getBytes, StandardOpenOption.CREATE, StandardOpenOption.TRUNCATE_EXISTING)
+    Files.write(Paths.get(resultsDir, file), lines.map(_.mkString("", "\t", "\n")).mkString.getBytes)
   }
 
   // ---------------------------------------------------------------- Table 2 / Fig 7
+
+  private val systems = Seq("MaskSearch", "Scan(PG/TDB/NP)")
 
   /** Run Q1–Q5 with MaskSearch and the scan baseline (the stand-in for
     * PostgreSQL / TileDB / NumPy, which all load every targeted mask) on one
     * dataset. Returns one row per (query, system).
     */
-  def runTable2Fig7(spark: SparkSession, loaded: BenchData.Loaded): Seq[QueryRun] = {
+  def runTable2Fig7(loaded: BenchData.Loaded): Seq[QueryRun] = {
     val bd = loaded.bd
-    val queries = Queries.forDataset(bd, Queries.paperSideFor(bd))
-    val m1 = loaded.catalog.filter("model_id = 1").cache()
-    m1.count()
+    val m1 = loaded.model1
 
     // Warm up codegen/JIT on both engines so the first timed query is not
     // inflated by one-time compilation cost.
@@ -56,98 +60,84 @@ object Harness {
     warm.unpersist()
     loaded.store.resetLoads()
 
-    queries.flatMap {
+    // One query on both systems, each from zeroed load counts; `answer`
+    // views a result as (ids, stats, result size).
+    def compare[R](id: String)(ms: => R, base: => R)(answer: R => (Seq[Long], QueryStats, Int)): Seq[QueryRun] = {
+      loaded.store.resetLoads()
+      val a = answer(ms)
+      loaded.store.resetLoads()
+      val b = answer(base)
+      require(a._1 == b._1, s"$id result mismatch")
+      systems.zip(Seq(a, b)).map { case (sys, (_, st, size)) =>
+        QueryRun(bd.name, id, sys, st.masksLoaded, st.nTargeted, st.elapsedMs, size)
+      }
+    }
+
+    Queries.forDataset(bd, Queries.paperSideFor(bd)).flatMap {
       case Queries.FilterQuery(id, _, pred) =>
-        loaded.store.resetLoads()
-        val ms = FilterVerify.execute(m1, pred, loaded.store, loaded.chiBc)
-        loaded.store.resetLoads()
-        val base = ScanBaseline.filterMasks(m1, pred, loaded.store)
-        require(ms.maskIds.toSeq == base.maskIds.toSeq, s"$id result mismatch")
-        Seq(
-          QueryRun(bd.name, id, "MaskSearch", ms.stats.masksLoaded, ms.stats.nTargeted, ms.stats.elapsedMs, ms.rows.length),
-          QueryRun(bd.name, id, "Scan(PG/TDB/NP)", base.stats.masksLoaded, base.stats.nTargeted, base.stats.elapsedMs, base.rows.length),
-        )
+        compare(id)(
+          FilterVerify.execute(m1, pred, loaded.store, loaded.chiBc),
+          ScanBaseline.filterMasks(m1, pred, loaded.store),
+        )(r => (r.maskIds.toSeq, r.stats, r.rows.length))
       case Queries.TopKQuery(id, _, expr, k, desc) =>
-        loaded.store.resetLoads()
-        val ms = TopK.masks(m1, expr, k, desc, loaded.store, loaded.chiBc)
-        loaded.store.resetLoads()
-        val base = ScanBaseline.topKMasks(m1, expr, k, desc, loaded.store)
-        require(ms.maskIds.toSeq == base.maskIds.toSeq, s"$id result mismatch")
-        Seq(
-          QueryRun(bd.name, id, "MaskSearch", ms.stats.masksLoaded, ms.stats.nTargeted, ms.stats.elapsedMs, ms.rows.length),
-          QueryRun(bd.name, id, "Scan(PG/TDB/NP)", base.stats.masksLoaded, base.stats.nTargeted, base.stats.elapsedMs, base.rows.length),
-        )
+        compare(id)(
+          TopK.masks(m1, expr, k, desc, loaded.store, loaded.chiBc),
+          ScanBaseline.topKMasks(m1, expr, k, desc, loaded.store),
+        )(r => (r.maskIds.toSeq, r.stats, r.rows.length))
       case Queries.GroupTopKQuery(id, _, value, k, desc) =>
-        loaded.store.resetLoads()
-        val ms = Aggregation.topKGroups(loaded.catalog, value, k, desc, loaded.store, loaded.chiBc)
-        loaded.store.resetLoads()
-        val base = ScanBaseline.topKGroups(loaded.catalog, value, k, desc, loaded.store)
-        require(ms.groupIds.toSeq == base.groupIds.toSeq, s"$id result mismatch")
         // Group queries target all masks of the dataset (2 per image).
-        val targeted = bd.ds.nMasks.toLong
-        Seq(
-          QueryRun(bd.name, id, "MaskSearch", ms.stats.masksLoaded, targeted, ms.stats.elapsedMs, ms.groups.length),
-          QueryRun(bd.name, id, "Scan(PG/TDB/NP)", base.stats.masksLoaded, targeted, base.stats.elapsedMs, base.groups.length),
-        )
+        compare(id)(
+          Aggregation.topKGroups(loaded.catalog, value, k, desc, loaded.store, loaded.chiBc),
+          ScanBaseline.topKGroups(loaded.catalog, value, k, desc, loaded.store),
+        )(r => (r.groupIds.toSeq, r.stats.copy(nTargeted = bd.ds.nMasks.toLong), r.groups.length))
+    }
+  }
+
+  /** One Q1–Q5 table, a row per (dataset, system), showing `cell` of each run. */
+  private def printPivot(title: String, runs: Seq[QueryRun], cell: QueryRun => Long): Unit = {
+    println()
+    println(title)
+    println(f"${"dataset"}%-14s ${"system"}%-16s ${"Q1"}%9s ${"Q2"}%9s ${"Q3"}%9s ${"Q4"}%9s ${"Q5"}%9s")
+    for (ds <- runs.map(_.dataset).distinct; sys <- systems) {
+      val row = Seq("Q1", "Q2", "Q3", "Q4", "Q5").map { q =>
+        runs.find(r => r.dataset == ds && r.query == q && r.system == sys).map(cell).getOrElse(-1L)
+      }
+      println(f"$ds%-14s $sys%-16s ${row(0)}%9d ${row(1)}%9d ${row(2)}%9d ${row(3)}%9d ${row(4)}%9d")
     }
   }
 
   def printTable2Fig7(runs: Seq[QueryRun], buildMsByDataset: Map[String, Long]): Unit = {
-    println()
-    println("== Table 2: number of masks loaded during query execution ==")
-    println(f"${"dataset"}%-14s ${"system"}%-16s ${"Q1"}%9s ${"Q2"}%9s ${"Q3"}%9s ${"Q4"}%9s ${"Q5"}%9s")
-    for {
-      ds <- runs.map(_.dataset).distinct
-      sys <- Seq("MaskSearch", "Scan(PG/TDB/NP)")
-    } {
-      val row = Seq("Q1", "Q2", "Q3", "Q4", "Q5").map { q =>
-        runs.find(r => r.dataset == ds && r.query == q && r.system == sys).map(_.masksLoaded).getOrElse(-1L)
-      }
-      println(f"$ds%-14s $sys%-16s ${row(0)}%9d ${row(1)}%9d ${row(2)}%9d ${row(3)}%9d ${row(4)}%9d")
-    }
-    println()
-    println("== Figure 7 (as table): end-to-end individual query time (ms) ==")
-    println(f"${"dataset"}%-14s ${"system"}%-16s ${"Q1"}%9s ${"Q2"}%9s ${"Q3"}%9s ${"Q4"}%9s ${"Q5"}%9s")
-    for {
-      ds <- runs.map(_.dataset).distinct
-      sys <- Seq("MaskSearch", "Scan(PG/TDB/NP)")
-    } {
-      val row = Seq("Q1", "Q2", "Q3", "Q4", "Q5").map { q =>
-        runs.find(r => r.dataset == ds && r.query == q && r.system == sys).map(_.timeMs).getOrElse(-1L)
-      }
-      println(f"$ds%-14s $sys%-16s ${row(0)}%9d ${row(1)}%9d ${row(2)}%9d ${row(3)}%9d ${row(4)}%9d")
-    }
+    printPivot("== Table 2: number of masks loaded during query execution ==", runs, _.masksLoaded)
+    printPivot("== Figure 7 (as table): end-to-end individual query time (ms) ==", runs, _.timeMs)
     buildMsByDataset.foreach { case (ds, ms) =>
       println(f"  (one-time CHI build for $ds: ${ms} ms — excluded from query times, as in the paper)")
     }
-    appendTsv(
-      "table2_fig7.tsv",
-      "dataset\tquery\tsystem\tmasks_loaded\tn_targeted\ttime_ms\tresult_size",
-      runs.map(r => s"${r.dataset}\t${r.query}\t${r.system}\t${r.masksLoaded}\t${r.nTargeted}\t${r.timeMs}\t${r.resultSize}"),
-    )
+    writeTsv("table2_fig7.tsv", runs)
   }
 
   // ---------------------------------------------------------------- Fig 8 / Fig 9
 
   final case class TypedQueryRun(dataset: String, qtype: String, timeMs: Long, fml: Double)
 
+  /** `n` random §4.3 Filter queries on the model-1 masks, drawn from `r`. */
+  private def randomFilters(loaded: BenchData.Loaded, n: Int, r: Random): Seq[QueryStats] = {
+    val maskPixels = loaded.bd.ds.w.toLong * loaded.bd.ds.h
+    (0 until n).map { _ =>
+      val pred = Workloads.randomFilterPredicate(r, maskPixels)
+      loaded.store.resetLoads()
+      FilterVerify.execute(loaded.model1, pred, loaded.store, loaded.chiBc).stats
+    }
+  }
+
   /** §4.3: randomized queries of the three types, MaskSearch only (the paper
     * notes baselines behave like their §4.2 counterparts regardless of
     * parameters).
     */
-  def runFig8(spark: SparkSession, loaded: BenchData.Loaded, nPerType: Int, seed: Long): Seq[TypedQueryRun] = {
+  def runFig8(loaded: BenchData.Loaded, nPerType: Int, seed: Long): Seq[TypedQueryRun] = {
     val bd = loaded.bd
-    val r = new scala.util.Random(seed)
-    val m1 = loaded.catalog.filter("model_id = 1").cache()
-    m1.count()
+    val r = new Random(seed)
     val side = bd.ds.w
-    val maskPixels = side.toLong * bd.ds.h
 
-    def randRange(): (Double, Double) = {
-      val lv = (1 + r.nextInt(8)) / 10.0
-      val uv = (math.round(lv * 10).toInt + 1 + r.nextInt(9 - math.round(lv * 10).toInt)) / 10.0
-      (lv, uv)
-    }
     // Random ROI with sides of at least two index cells. The paper draws
     // "any rectangle"; at lite mask sizes a sub-cell rectangle carries no
     // index information at all, so the draw is floored at the analyst-scale
@@ -162,20 +152,15 @@ object Harness {
       )
     }
 
-    val filter = (0 until nPerType).map { _ =>
-      val pred = Workloads.randomFilterPredicate(r, maskPixels)
-      loaded.store.resetLoads()
-      val res = FilterVerify.execute(m1, pred, loaded.store, loaded.chiBc)
-      TypedQueryRun(bd.name, "Filter", res.stats.elapsedMs, res.stats.fml)
-    }
+    val filter = randomFilters(loaded, nPerType, r).map(s => TypedQueryRun(bd.name, "Filter", s.elapsedMs, s.fml))
     val topk = (0 until nPerType).map { _ =>
-      val (lv, uv) = randRange()
+      val (lv, uv) = Workloads.randomRange(r)
       loaded.store.resetLoads()
-      val res = TopK.masks(m1, CpExpr.term(ConstRoi(randRoi()), lv, uv), 25, r.nextBoolean(), loaded.store, loaded.chiBc)
+      val res = TopK.masks(loaded.model1, CpExpr.term(ConstRoi(randRoi()), lv, uv), 25, r.nextBoolean(), loaded.store, loaded.chiBc)
       TypedQueryRun(bd.name, "Top-K", res.stats.elapsedMs, res.stats.fml)
     }
     val agg = (0 until nPerType).map { _ =>
-      val (lv, uv) = randRange()
+      val (lv, uv) = Workloads.randomRange(r)
       val value = ScalarAggValue(AvgAgg, CpExpr.term(ConstRoi(randRoi()), lv, uv))
       loaded.store.resetLoads()
       val res = Aggregation.topKGroups(loaded.catalog, value, 25, r.nextBoolean(), loaded.store, loaded.chiBc)
@@ -203,11 +188,7 @@ object Harness {
       val fmls = sel.map(_.fml).sorted
       println(f"$ds%-14s $t%-12s ${d.min}%7d ${d.p25}%7d ${d.median}%7d ${d.p75}%7d ${d.max}%7d   ${fmls(fmls.size / 2)}%8.4f")
     }
-    appendTsv(
-      "fig8.tsv",
-      "dataset\tqtype\ttime_ms\tfml",
-      runs.map(r => s"${r.dataset}\t${r.qtype}\t${r.timeMs}\t${r.fml}"),
-    )
+    writeTsv("fig8.tsv", runs)
   }
 
   /** Pearson correlation coefficient. */
@@ -220,30 +201,23 @@ object Harness {
     if (sx == 0 || sy == 0) 0.0 else cov / (sx * sy)
   }
 
+  final case class FmlPoint(fml: Double, timeMs: Long)
+
   /** §4.4 / Fig 9: query time vs fraction of masks loaded for Filter queries. */
-  def runFig9(spark: SparkSession, loaded: BenchData.Loaded, nQueries: Int, seed: Long): (Seq[(Double, Long)], Double) = {
-    val r = new scala.util.Random(seed)
-    val m1 = loaded.catalog.filter("model_id = 1").cache()
-    m1.count()
-    val maskPixels = loaded.bd.ds.w.toLong * loaded.bd.ds.h
-    val pts = (0 until nQueries).map { _ =>
-      val pred = Workloads.randomFilterPredicate(r, maskPixels)
-      loaded.store.resetLoads()
-      val res = FilterVerify.execute(m1, pred, loaded.store, loaded.chiBc)
-      (res.stats.fml, res.stats.elapsedMs)
-    }
-    (pts, pearson(pts.map(_._1), pts.map(_._2.toDouble)))
+  def runFig9(loaded: BenchData.Loaded, nQueries: Int, seed: Long): (Seq[FmlPoint], Double) = {
+    val pts = randomFilters(loaded, nQueries, new Random(seed)).map(s => FmlPoint(s.fml, s.elapsedMs))
+    (pts, pearson(pts.map(_.fml), pts.map(_.timeMs.toDouble)))
   }
 
-  def printFig9(dataset: String, pts: Seq[(Double, Long)], r: Double): Unit = {
+  def printFig9(dataset: String, pts: Seq[FmlPoint], r: Double): Unit = {
     println()
     println(s"== Figure 9 (as table): query time vs FML on $dataset ==")
     println(f"  Pearson r(FML, time) = $r%.3f over ${pts.size} Filter queries")
-    val byBucket = pts.groupBy(p => (p._1 * 10).toInt / 10.0)
+    val byBucket = pts.groupBy(p => (p.fml * 10).toInt / 10.0)
     byBucket.toSeq.sortBy(_._1).foreach { case (b, ps) =>
-      println(f"  FML ∈ [$b%.1f, ${b + 0.1}%.1f): n=${ps.size}%3d  mean time ${ps.map(_._2).sum / ps.size}%6d ms")
+      println(f"  FML ∈ [$b%.1f, ${b + 0.1}%.1f): n=${ps.size}%3d  mean time ${ps.map(_.timeMs).sum / ps.size}%6d ms")
     }
-    appendTsv(s"fig9_$dataset.tsv", "fml\ttime_ms", pts.map(p => s"${p._1}\t${p._2}"))
+    writeTsv(s"fig9_$dataset.tsv", pts)
   }
 
   // ---------------------------------------------------------------- Fig 10
@@ -309,11 +283,7 @@ object Harness {
     rows.foreach { r =>
       println(f"${r.dataset}%-14s ${r.cfgLabel}%-8s ${r.indexRatio * 100}%5.1f%% (${r.lv}%.1f,${r.uv}%.1f)  ${r.meanRelWidth}%9.4f ${r.fmlAtQ1}%8.4f ${r.fmlAtMedian}%8.4f ${r.fmlAtQ3}%8.4f")
     }
-    appendTsv(
-      "fig10.tsv",
-      "dataset\tcfg\tindex_ratio\tlv\tuv\tmean_rel_width\tfml_q1\tfml_med\tfml_q3",
-      rows.map(r => s"${r.dataset}\t${r.cfgLabel}\t${r.indexRatio}\t${r.lv}\t${r.uv}\t${r.meanRelWidth}\t${r.fmlAtQ1}\t${r.fmlAtMedian}\t${r.fmlAtQ3}"),
-    )
+    writeTsv("fig10.tsv", rows)
   }
 
   // ---------------------------------------------------------------- Fig 11
@@ -329,6 +299,16 @@ object Harness {
     def ratioMsiiOverMs: Seq[Double] =
       cumMsii.zip(cumMs).map { case (a, b) => a.toDouble / math.max(1L, b) }
   }
+
+  /** One Fig 11 TSV row: the cumulative times after query `query`. */
+  final case class WorkloadStep(
+      dataset: String,
+      pSeen: Double,
+      query: Int,
+      cumScanMs: Long,
+      cumMsMs: Long,
+      cumMsiiMs: Long,
+  )
 
   /** §4.5: one multi-query workload executed by the scan baseline (NumPy
     * stand-in), MaskSearch with ahead-of-time indexing (MS), and MaskSearch
@@ -395,11 +375,7 @@ object Harness {
       val ratios = c.ratioMsiiOverMs
       println(f"   MS-II/MS ratio: peak ${ratios.max}%.2f at query ${ratios.indexOf(ratios.max) + 1}, final ${ratios.last}%.2f")
     }
-    appendTsv(
-      "fig11.tsv",
-      "dataset\tp_seen\tquery\tcum_scan_ms\tcum_ms_ms\tcum_msii_ms",
-      curves.flatMap(c => (0 until c.nQueries).map(i =>
-        s"${c.dataset}\t${c.pSeen}\t${i + 1}\t${c.cumScan(i)}\t${c.cumMs(i)}\t${c.cumMsii(i)}")),
-    )
+    writeTsv("fig11.tsv", curves.flatMap(c => (0 until c.nQueries).map(i =>
+      WorkloadStep(c.dataset, c.pSeen, i + 1, c.cumScan(i), c.cumMs(i), c.cumMsii(i)))))
   }
 }

@@ -10,40 +10,10 @@ import org.apache.spark.unsafe.types.UTF8String
 import repro.core.{ChiRegistry, CpBounds, Roi, ValueRange}
 import repro.store.MaskStore
 
-/** Numeric coercion for expression arguments: SQL literals arrive as
-  * Int/Long/Decimal/Double depending on how the query spells them
-  * (`AbstractDataType`-based implicit casts are `private[sql]`, so the
-  * expressions coerce explicitly instead of declaring input types).
-  */
-private[catalyst] object Coerce {
-  def toIntVal(a: Any): Int = a match {
-    case i: Int     => i
-    case l: Long    => l.toInt
-    case s: Short   => s.toInt
-    case b: Byte    => b.toInt
-    case d: Decimal => d.toLong.toInt
-    case d: Double  => d.toInt
-    case f: Float   => f.toInt
-    case other      => throw new IllegalArgumentException(s"not an integer: $other")
-  }
-  def toLongVal(a: Any): Long = a match {
-    case l: Long    => l
-    case i: Int     => i.toLong
-    case d: Decimal => d.toLong
-    case other      => throw new IllegalArgumentException(s"not a long: $other")
-  }
-  def toDoubleVal(a: Any): Double = a match {
-    case d: Double  => d
-    case f: Float   => f.toDouble
-    case i: Int     => i.toDouble
-    case l: Long    => l.toDouble
-    case d: Decimal => d.toDouble
-    case other      => throw new IllegalArgumentException(s"not a double: $other")
-  }
-}
-
 /** Catalyst expression computing the exact CP function over a mask stored on
-  * disk: `cp_mask(mask_id, path, x1, y1, x2, y2, lv, uv) → BIGINT`.
+  * disk: `cp_mask(mask_id, path, x1, y1, x2, y2, lv, uv) → BIGINT`. Its
+  * arguments are typed BIGINT, STRING, INT ×4 and DOUBLE ×2; the function
+  * registered by [[MaskSearchSession.registerFunctions]] casts them so.
   *
   * Evaluating it loads the mask file (counted by the store) — which is
   * precisely why [[ChiPushdownRule]] rewrites comparisons against it so that
@@ -57,23 +27,17 @@ final case class CpMaskExpr(
 ) extends Expression
     with CodegenFallback {
 
-  require(children.length == 8, s"cp_mask expects 8 arguments, got ${children.length}")
-
   override def dataType: DataType = LongType
   override def nullable: Boolean = false
   override def prettyName: String = if (verifyOnly) "cp_mask_verify" else "cp_mask"
 
   override def eval(input: InternalRow): Any = {
-    import Coerce._
-    val path = children(1).eval(input).asInstanceOf[UTF8String].toString
-    val x1 = toIntVal(children(2).eval(input))
-    val y1 = toIntVal(children(3).eval(input))
-    val x2 = toIntVal(children(4).eval(input))
-    val y2 = toIntVal(children(5).eval(input))
-    val lv = toDoubleVal(children(6).eval(input))
-    val uv = toDoubleVal(children(7).eval(input))
-    val mask = store.loadPath(path)
-    mask.cp(Roi(x1, y1, x2, y2), ValueRange(lv, uv))
+    def arg(i: Int): Any = children(i).eval(input)
+    val mask = store.loadPath(arg(1).asInstanceOf[UTF8String].toString)
+    mask.cp(
+      Roi(arg(2).asInstanceOf[Int], arg(3).asInstanceOf[Int], arg(4).asInstanceOf[Int], arg(5).asInstanceOf[Int]),
+      ValueRange(arg(6).asInstanceOf[Double], arg(7).asInstanceOf[Double]),
+    )
   }
 
   override protected def withNewChildrenInternal(newChildren: IndexedSeq[Expression]): Expression =
@@ -99,19 +63,12 @@ final case class ChiBoundExpr(
   override def prettyName: String = if (upper) "chi_upper" else "chi_lower"
 
   override def eval(input: InternalRow): Any = {
-    import Coerce._
-    val maskId = toLongVal(children(0).eval(input))
-    val roi = Roi(
-      toIntVal(children(1).eval(input)),
-      toIntVal(children(2).eval(input)),
-      toIntVal(children(3).eval(input)),
-      toIntVal(children(4).eval(input)),
+    def arg(i: Int): Any = children(i).eval(input)
+    val b = CpBounds.of(
+      registry.value.get(arg(0).asInstanceOf[Long]),
+      Roi(arg(1).asInstanceOf[Int], arg(2).asInstanceOf[Int], arg(3).asInstanceOf[Int], arg(4).asInstanceOf[Int]),
+      ValueRange(arg(5).asInstanceOf[Double], arg(6).asInstanceOf[Double]),
     )
-    val range = ValueRange(
-      toDoubleVal(children(5).eval(input)),
-      toDoubleVal(children(6).eval(input)),
-    )
-    val b = CpBounds.of(registry.value.get(maskId), roi, range)
     if (upper) b.upper else b.lower
   }
 

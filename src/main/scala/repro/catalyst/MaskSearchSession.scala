@@ -2,7 +2,8 @@ package repro.catalyst
 
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.sql.catalyst.expressions.Expression
+import org.apache.spark.sql.catalyst.expressions.{Cast, Expression}
+import org.apache.spark.sql.types.{DoubleType, IntegerType, LongType}
 
 import repro.core.ChiRegistry
 import repro.store.MaskStore
@@ -21,11 +22,20 @@ import repro.store.MaskStore
   */
 object MaskSearchSession {
 
-  /** Register `cp_mask` bound to `store`. Safe to call repeatedly. */
+  /** Register `cp_mask` bound to `store`. Safe to call repeatedly. SQL
+    * literals arrive as INT, BIGINT, DECIMAL or DOUBLE depending on how the
+    * query spells them, so each argument but `path` is cast to the type
+    * [[CpMaskExpr]] reads.
+    */
   def registerFunctions(spark: SparkSession, store: MaskStore): Unit = {
     spark.sessionState.functionRegistry.createOrReplaceTempFunction(
       "cp_mask",
-      (exprs: Seq[Expression]) => CpMaskExpr(exprs, store, verifyOnly = false),
+      (exprs: Seq[Expression]) => {
+        require(exprs.length == 8, s"cp_mask expects 8 arguments, got ${exprs.length}")
+        val args = Seq(Cast(exprs(0), LongType), exprs(1)) ++
+          exprs.slice(2, 6).map(Cast(_, IntegerType)) ++ exprs.drop(6).map(Cast(_, DoubleType))
+        CpMaskExpr(args, store, verifyOnly = false)
+      },
       "scala_udf",
     )
   }

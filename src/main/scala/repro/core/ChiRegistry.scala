@@ -51,10 +51,7 @@ object ChiRegistry {
         }
       }
       .collect()
-    new ChiRegistry(
-      cfg,
-      built.map { case (id, w, h, counts) => id -> new ChiIndex(id, w, h, cfg, counts) }.toMap,
-    )
+    fromRows(cfg, built)
   }
 
   /** Like [[build]], but additionally indexes the per-image INTERSECT
@@ -80,10 +77,7 @@ object ChiRegistry {
         (per :+ agg).map(i => (i.maskId, i.w, i.h, i.counts))
       }
       .collect()
-    new ChiRegistry(
-      cfg,
-      built.map { case (id, w, h, counts) => id -> new ChiIndex(id, w, h, cfg, counts) }.toMap,
-    )
+    fromRows(cfg, built)
   }
 
   /** Persist a registry as Parquet (`mask_id, w, h, counts` + config columns)
@@ -106,8 +100,12 @@ object ChiRegistry {
       .collect()
     require(rows.nonEmpty, s"empty CHI registry at $path")
     val cfg = ChiConfig(rows.head._4, rows.head._5, rows.head._6)
-    new ChiRegistry(cfg, rows.map { case (id, w, h, _, _, _, c) => id -> new ChiIndex(id, w, h, cfg, c) }.toMap)
+    fromRows(cfg, rows.map { case (id, w, h, _, _, _, c) => (id, w, h, c) })
   }
+
+  /** A registry from collected `(mask_id, w, h, counts)` rows. */
+  private def fromRows(cfg: ChiConfig, rows: Array[(Long, Int, Int, Array[Int])]): ChiRegistry =
+    new ChiRegistry(cfg, rows.map { case (id, w, h, counts) => id -> new ChiIndex(id, w, h, cfg, counts) }.toMap)
 
   /** Broadcast helper. */
   def broadcast(spark: SparkSession, registry: ChiRegistry): Broadcast[ChiRegistry] =

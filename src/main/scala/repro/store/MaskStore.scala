@@ -27,12 +27,16 @@ final class MaskStore(val base: String, val loads: LongAccumulator) extends Seri
 
   /** Load a mask from an explicit path, counting the load. Read bytes pass
     * through [[DiskThrottle]] so benchmarks can simulate the paper's
-    * provisioned disk bandwidth.
+    * provisioned disk bandwidth. A file whose length is not the 16 header
+    * bytes plus the `4·w·h` pixel bytes its header declares is rejected.
     */
   def loadPath(path: String): Mask = {
     val bytes = Files.readAllBytes(Paths.get(path))
     DiskThrottle.acquire(bytes.length)
     val buf = ByteBuffer.wrap(bytes).order(ByteOrder.LITTLE_ENDIAN)
+    val expected = if (bytes.length < 16) 16L else 16L + 4L * buf.getInt(8) * buf.getInt(12)
+    require(bytes.length == expected,
+      s"malformed mask file $path: ${bytes.length} bytes, expected $expected")
     val id = buf.getLong
     val w = buf.getInt
     val h = buf.getInt
@@ -82,13 +86,8 @@ object MaskStore {
       Files.createDirectories(marker.getParent)
       Files.createFile(marker)
     }
-    (store, catalogDF(spark, ds, store))
-  }
-
-  /** The catalog DataFrame of a dataset (deterministic metadata; cheap). */
-  def catalogDF(spark: SparkSession, ds: MaskDatasetDef, store: MaskStore): DataFrame = {
     import spark.implicits._
-    MaskGen.catalog(ds, store).toDF()
+    (store, MaskGen.catalog(ds, store).toDF())
   }
 
   /** Typed view of a catalog DataFrame. */

@@ -22,10 +22,16 @@ final case class WorkloadQuery(target: IndexedSeq[CatalogRow], pred: Predicate)
   */
 object Workloads {
 
-  /** Randomized Filter-query parameters per §4.3. */
-  def randomFilterPredicate(r: Random, maskPixels: Long): Predicate = {
+  /** Randomized §4.3 value range `(lv, uv)` on the 0.1 grid. */
+  def randomRange(r: Random): (Double, Double) = {
     val lv = (1 + r.nextInt(8)) / 10.0           // 0.1 … 0.8
     val uv = (math.round(lv * 10).toInt + 1 + r.nextInt(9 - math.round(lv * 10).toInt)) / 10.0 // lv < uv ≤ 0.9
+    (lv, uv)
+  }
+
+  /** Randomized Filter-query parameters per §4.3. */
+  def randomFilterPredicate(r: Random, maskPixels: Long): Predicate = {
+    val (lv, uv) = randomRange(r)
     val t = r.nextLong(maskPixels + 1)
     Predicate(CpExpr.term(ObjectRoi, lv, uv), Gt, t.toDouble)
   }

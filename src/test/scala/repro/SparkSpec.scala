@@ -8,10 +8,10 @@ import org.scalatest.funsuite.AnyFunSuite
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
   * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Shuffle partitions and the disabled broadcast-join threshold
-  * match `repro.jobs.JobSession`, so tests and the spark-submit jobs run
-  * the engines under the same session settings. No engine plan joins, so
-  * the threshold changes no query here.
+  * limit). The `bench/` suites extend this trait too, so unit tests and the
+  * paper's tables and figures run the engines under the same session
+  * settings. No engine plan joins, so the disabled broadcast-join threshold
+  * changes no query here.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared

@@ -1,5 +1,9 @@
 package repro.bench
 
+import java.nio.file.Files
+
+import scala.jdk.CollectionConverters._
+
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.core._
@@ -32,6 +36,12 @@ class HarnessUnitSpec extends AnyFunSuite {
   test("dist of a single element") {
     val d = Harness.dist(Seq(4L))
     assert(d == Harness.Dist(4, 4, 4, 4, 4))
+  }
+
+  test("writeTsv writes a field-name header and one tab-separated line per row") {
+    val p = Harness.writeTsv("harness_unit.tsv", Seq(HarnessUnitSpec.Row("a", 1, 0.5), HarnessUnitSpec.Row("b", 2, 1.25)))
+    try assert(Files.readAllLines(p).asScala.toSeq == Seq("name\tn\tx", "a\t1\t0.5", "b\t2\t1.25"))
+    finally Files.delete(p)
   }
 
   test("Table 1 queries: five queries with the paper's shapes") {
@@ -79,4 +89,8 @@ class HarnessUnitSpec extends AnyFunSuite {
     assert(Queries.paperSideFor(BenchData.wilds) == 448)
     assert(Queries.paperSideFor(BenchData.imagenet) == 224)
   }
+}
+
+object HarnessUnitSpec {
+  final case class Row(name: String, n: Long, x: Double)
 }

@@ -47,6 +47,14 @@ class CatalystSpec extends SparkSpec {
     assert(row.getLong(1) == m.cp(Roi(8, 8, 28, 28), ValueRange(0.6, 1.0)))
   }
 
+  test("cp_mask with 7 or 9 arguments fails analysis") {
+    MaskSearchSession.registerFunctions(spark, store)
+    for (args <- Seq("mask_id, path, 8, 8, 28, 28, 0.6", "mask_id, path, 8, 8, 28, 28, 0.6, 1.0, 0.5")) {
+      val e = intercept[Exception](catalogM1.filter(expr(s"cp_mask($args) > 60")).queryExecution.assertAnalyzed())
+      assert(e.getMessage.contains("cp_mask expects 8 arguments"), e.getMessage)
+    }
+  }
+
   test("cp_mask without the rule loads every targeted mask") {
     val (_, loads) = run(catalogM1.filter(expr(s"${cpCall(8, 8, 28, 28, 0.6, 1.0)} > 60")), ruleOn = false)
     assert(loads == ds.nImages)

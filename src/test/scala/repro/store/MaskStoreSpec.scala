@@ -20,6 +20,17 @@ class MaskStoreSpec extends SparkSpec {
     assert(loaded.data.toSeq == m.data.toSeq)
   }
 
+  test("loadPath rejects a truncated mask file, naming the path and both lengths") {
+    val bytes = java.nio.file.Files.readAllBytes(java.nio.file.Paths.get(store.pathFor(5)))
+    val cut = java.nio.file.Paths.get(store.base, "truncated.bin")
+    java.nio.file.Files.write(cut, bytes.dropRight(4))
+    try {
+      val e = intercept[IllegalArgumentException](store.loadPath(cut.toString))
+      assert(e.getMessage.contains(cut.toString), e.getMessage)
+      assert(e.getMessage.contains(s"${bytes.length - 4} bytes, expected ${bytes.length}"), e.getMessage)
+    } finally java.nio.file.Files.delete(cut)
+  }
+
   test("loads are counted by the accumulator, including driver-side loads") {
     val before = store.loads.value
     store.load(3); store.load(4)

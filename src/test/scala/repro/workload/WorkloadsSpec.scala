@@ -76,4 +76,13 @@ class WorkloadsSpec extends SparkSpec {
       assert(p.threshold >= 0 && p.threshold <= 1024)
     }
   }
+
+  test("randomRange draws 0.1 <= lv < uv <= 0.9 on the 0.1 grid") {
+    val r = new scala.util.Random(8)
+    for (_ <- 0 until 200) {
+      val (lv, uv) = Workloads.randomRange(r)
+      assert(0.1 <= lv && lv < uv && uv <= 0.9, s"($lv, $uv)")
+      for (v <- Seq(lv, uv)) assert(v == math.round(v * 10) / 10.0, s"$v is off the 0.1 grid")
+    }
+  }
 }
