@@ -1,7 +1,5 @@
 package repro.bench
 
-import java.nio.file.{Files, Paths}
-
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{DataFrame, SparkSession}
 
@@ -59,7 +57,7 @@ object BenchData {
 
   val all: Seq[BenchDataset] = Seq(wilds, imagenet)
 
-  /** Materialised dataset + built (and disk-cached) CHI registry. */
+  /** Materialised dataset + built CHI registry. */
   final case class Loaded(
       bd: BenchDataset,
       store: MaskStore,
@@ -78,10 +76,8 @@ object BenchData {
 
   private val cache = scala.collection.mutable.Map.empty[String, Loaded]
 
-  /** Materialise masks and build (or reload) the CHI registry. The registry
-    * is persisted next to the data so repeated bench suites skip the build;
-    * `buildMs` always reports the cost of a fresh build when one happened,
-    * else 0.
+  /** Materialise masks and build the CHI registry, once per JVM; `buildMs`
+    * is the time of that fresh build.
     */
   def load(spark: SparkSession, bd: BenchDataset): Loaded = synchronized {
     cache.getOrElseUpdate(bd.name, {
@@ -89,16 +85,9 @@ object BenchData {
       val (store, catalog0) = MaskStore.materialize(spark, bd.ds, bd.baseDir)
       val catalog = catalog0.cache()
       catalog.count()
-      val chiPath = s"${bd.baseDir}/chi-${bd.cfg.cellW}x${bd.cfg.cellH}x${bd.cfg.bins}"
-      val (registry, buildMs) =
-        if (Files.exists(Paths.get(chiPath))) (ChiRegistry.load(spark, chiPath), 0L)
-        else {
-          val t0 = System.nanoTime()
-          val r = ChiRegistry.buildWithAggregates(spark, catalog, store, bd.cfg)
-          val ms = (System.nanoTime() - t0) / 1_000_000
-          ChiRegistry.save(spark, r, chiPath)
-          (r, ms)
-        }
+      val t0 = System.nanoTime()
+      val registry = ChiRegistry.buildWithAggregates(spark, catalog, store, bd.cfg)
+      val buildMs = (System.nanoTime() - t0) / 1_000_000
       store.resetLoads()
       Loaded(bd, store, catalog, registry, ChiRegistry.broadcast(spark, registry), buildMs)
     })

@@ -83,7 +83,9 @@ class ChiBoundsSpec extends AnyFunSuite {
   }
 
   // Exactness when everything aligns with cells and bins.
-  for ((w, cw, bins) <- Seq((16, 4, 4), (24, 8, 8), (32, 8, 16), (12, 4, 2))) {
+  // b = 10 and 20 are the benchmark datasets' bin counts; their edges 0.3,
+  // 0.6 and 0.7 are not exact multiples of Δ = 1/b in double.
+  for ((w, cw, bins) <- Seq((16, 4, 4), (24, 8, 8), (32, 8, 16), (12, 4, 2), (20, 4, 10), (40, 8, 20))) {
     test(s"aligned queries are exact: mask ${w}x$w cell $cw b=$bins") {
       val r = new java.util.Random(w + bins)
       val m = randomMask(2, w, w, w * 7L)
@@ -99,6 +101,60 @@ class ChiBoundsSpec extends AnyFunSuite {
         assert(bnd.exact && bnd.lower == m.cp(roi, range), s"roi=$roi range=$range")
       }
     }
+  }
+
+  /** Pixels on every value edge `k/b < 1` of `b` bins and their float neighbours
+    * in [0, 1). At b = 10 this includes 0.7f, which lies below the edge 0.7.
+    */
+  private def edgePixels(b: Int): Array[Float] =
+    (0 until b).flatMap { k =>
+      val p = (k.toDouble / b).toFloat
+      Seq(Math.nextDown(p), p, Math.nextUp(p))
+    }.filter(p => p >= 0f && p < 1f).distinct.toArray
+
+  test("bounds contain exact CP for float pixels on and next to every value edge, b = 1..64; exact on edges") {
+    for (b <- 1 to 64) {
+      val px = edgePixels(b)
+      // One pixel per row and one cell per pixel: every ROI is available.
+      val m = Mask(b, px.length, 1, px)
+      val idx = ChiIndex.build(m, ChiConfig(1, 1, b))
+      val edges = (0 to b).map(_.toDouble / b).toSet
+      val cuts = (edges ++ px.map(_.toDouble)).toSeq.sorted
+      for (i <- cuts.indices; j <- i until cuts.length) {
+        val range = ValueRange(cuts(i), cuts(j))
+        val exact = m.cpFull(range)
+        val bnd = idx.bounds(Roi.full(m.w, 1), range)
+        assert(bnd.lower <= exact && exact <= bnd.upper, s"b=$b range=$range exact=$exact bounds=$bnd")
+        if (edges(range.lv) && edges(range.uv)) assert(bnd.exact, s"b=$b aligned range=$range bounds=$bnd")
+      }
+    }
+  }
+
+  test("the build bins each edge pixel where the edge lookup does, b = 1..64") {
+    for (b <- 1 to 64) {
+      val px = edgePixels(b)
+      val cfg = ChiConfig(1, 1, b)
+      val idx = ChiIndex.build(Mask(b, px.length, 1, px), cfg)
+      for ((p, x) <- px.zipWithIndex) {
+        val built = idx.cHist(Roi(x + 1, 1, x + 1, 1)).count(_ == 1) - 1
+        assert(built == math.min(cfg.edgeAtOrBelow(p.toDouble), b - 1), s"b=$b pixel=$p")
+        assert(built == cfg.bin(p), s"b=$b pixel=$p")
+      }
+    }
+  }
+
+  test("edge lookups pick the largest edge <= v and the smallest edge >= v, clamped") {
+    val cfg = ChiConfig(1, 1, 10)
+    assert(cfg.edgeAtOrBelow(0.6) == 6 && cfg.edgeAtOrAbove(0.6) == 6)
+    assert(cfg.edgeAtOrBelow(0.3) == 3 && cfg.edgeAtOrAbove(0.7) == 7)
+    assert(cfg.edgeAtOrBelow(Math.nextDown(0.6)) == 5 && cfg.edgeAtOrAbove(Math.nextUp(0.6)) == 7)
+    assert(cfg.edgeAtOrBelow(-0.5) == 0 && cfg.edgeAtOrAbove(-0.5) == 0)
+    assert(cfg.edgeAtOrBelow(1.5) == 10 && cfg.edgeAtOrAbove(1.5) == 10)
+  }
+
+  test("bounds reject an ROI outside the mask") {
+    intercept[IllegalArgumentException](fig4.bounds(Roi(1, 1, 7, 6), ValueRange(0.0, 1.0)))
+    intercept[IllegalArgumentException](fig4.bounds(Roi(5, 5, 6, 7), ValueRange(0.0, 1.0)))
   }
 
   test("finer index gives bounds at least as tight (paper §4.4)") {

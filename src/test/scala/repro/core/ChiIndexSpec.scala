@@ -10,11 +10,16 @@ class ChiIndexSpec extends AnyFunSuite {
 
   private lazy val fig4 = ChiIndex.build(fig4Mask, fig4Cfg)
 
+  // A 7-wide mask with cell 2: grid boundaries at 0, 2, 4, 6, 7 along x (the
+  // last cell is partial) and 0, 5 along y (cell 8 > 5: one partial cell).
+  private lazy val partial = ChiIndex.build(randomMask(1, 7, 5, seed = 3), ChiConfig(2, 8, 2))
+
   test("boundaries cover the dimension, including a partial last cell") {
-    assert(ChiIndex.boundaries(6, 2).toSeq == Seq(0, 2, 4, 6))
-    assert(ChiIndex.boundaries(7, 2).toSeq == Seq(0, 2, 4, 6, 7))
-    assert(ChiIndex.boundaries(5, 5).toSeq == Seq(0, 5))
-    assert(ChiIndex.boundaries(5, 8).toSeq == Seq(0, 5))
+    assert(partial.isAvailable(Roi(7, 1, 7, 5)), "the partial last cell ((7,1),(7,5))")
+    assert(partial.isAvailable(Roi(1, 1, 6, 5)) && partial.isAvailable(Roi.full(7, 5)))
+    assert(!partial.isAvailable(Roi(1, 1, 7, 4)), "y = 4 is not a boundary")
+    assert(!partial.isAvailable(Roi(2, 1, 7, 5)), "x = 1 is not a boundary")
+    assert(fig4.isAvailable(Roi(1, 1, 6, 6)) && !fig4.isAvailable(Roi(1, 1, 5, 6)))
   }
 
   test("nCells rounds up") {
@@ -22,13 +27,17 @@ class ChiIndexSpec extends AnyFunSuite {
   }
 
   test("boundary search helpers") {
-    val bs = Array(0, 2, 4, 6)
-    assert(ChiIndex.boundaryIndex(bs, 4) == 2)
-    assert(ChiIndex.boundaryIndex(bs, 3) == -1)
-    assert(ChiIndex.largestLeq(bs, 5) == 4)
-    assert(ChiIndex.largestLeq(bs, 6) == 6)
-    assert(ChiIndex.smallestGeq(bs, 5) == 6)
-    assert(ChiIndex.smallestGeq(bs, 0) == 0)
+    // Outer region: last boundary at or before x1 - 1, first at or after x2.
+    assert(partial.outerRegion(Roi(6, 2, 6, 3)) == Roi(5, 1, 6, 5))
+    assert(partial.outerRegion(Roi(6, 1, 7, 5)) == Roi(5, 1, 7, 5))
+    assert(partial.outerRegion(Roi(7, 1, 7, 1)) == Roi(7, 1, 7, 5))
+    assert(partial.outerRegion(Roi(1, 1, 1, 1)) == Roi(1, 1, 2, 5))
+    // Inner region: first boundary at or after x1 - 1, last at or before x2.
+    assert(partial.innerRegion(Roi(2, 1, 7, 5)).contains(Roi(3, 1, 7, 5)))
+    assert(partial.innerRegion(Roi(1, 1, 6, 5)).contains(Roi(1, 1, 6, 5)))
+    assert(partial.innerRegion(Roi(2, 1, 6, 5)).contains(Roi(3, 1, 6, 5)))
+    assert(partial.innerRegion(Roi(2, 1, 3, 5)).isEmpty)
+    assert(partial.innerRegion(Roi(1, 1, 7, 4)).isEmpty, "no y boundary inside 1..4 but 0")
   }
 
   test("paper Figure 4: H(M,1,1) = [4, 0]") {
@@ -103,8 +112,8 @@ class ChiIndexSpec extends AnyFunSuite {
       val m = randomMask(seed, w, h, seed * 1000L)
       val cfg = ChiConfig(cw, ch, bins)
       val idx = ChiIndex.build(m, cfg)
-      val xb = ChiIndex.boundaries(w, cw)
-      val yb = ChiIndex.boundaries(h, ch)
+      val xb = (0 to ChiIndex.nCells(w, cw)).map(i => math.min(i * cw, w))
+      val yb = (0 to ChiIndex.nCells(h, ch)).map(i => math.min(i * ch, h))
       for {
         i1 <- xb.indices.dropRight(1); i2 <- xb.indices if xb(i2) > xb(i1)
         j1 <- yb.indices.dropRight(1); j2 <- yb.indices if yb(j2) > yb(j1)
