@@ -24,9 +24,13 @@ import repro.core.{ChiRegistry, CmpOp, Gt, Lt}
   * accepts the mask with no disk access (Case 2); an upper bound at or below
   * T rejects it with no disk access (Case 1, via the failed `And` guard); only
   * the uncertain band (Case 3) evaluates `cp_mask_verify`, which loads the
-  * mask. `cp < T` is rewritten with the bound roles mirrored (§3.3). The rule
-  * leaves `verifyOnly` expressions alone, so it is idempotent under the
-  * optimizer's fixed-point execution.
+  * mask. `cp < T` is rewritten with the bound roles mirrored (§3.3), and
+  * `cp >= T` / `cp <= T` as the negation of the rewritten `cp < T` /
+  * `cp > T`, which decides the same rows with the same loads (CP and its
+  * bounds are never null). `BETWEEN` is not rewritten: it repeats the
+  * `cp_mask` call, and each copy would verify on its own. The rule leaves
+  * `verifyOnly` expressions alone, so it is idempotent under the optimizer's
+  * fixed-point execution.
   */
 final case class ChiPushdownRule(registry: Broadcast[ChiRegistry]) extends Rule[LogicalPlan] {
 
@@ -60,6 +64,12 @@ final case class ChiPushdownRule(registry: Broadcast[ChiRegistry]) extends Rule[
         // cp < T  /  T > cp
         case LessThan(cp: CpMaskExpr, t) if rewritable(cp) && t.deterministic   => rewrite(cp, Lt, t)
         case GreaterThan(t, cp: CpMaskExpr) if rewritable(cp) && t.deterministic => rewrite(cp, Lt, t)
+        // cp >= T  /  T <= cp  is  NOT (cp < T)
+        case GreaterThanOrEqual(cp: CpMaskExpr, t) if rewritable(cp) && t.deterministic => Not(rewrite(cp, Lt, t))
+        case LessThanOrEqual(t, cp: CpMaskExpr) if rewritable(cp) && t.deterministic    => Not(rewrite(cp, Lt, t))
+        // cp <= T  /  T >= cp  is  NOT (cp > T)
+        case LessThanOrEqual(cp: CpMaskExpr, t) if rewritable(cp) && t.deterministic    => Not(rewrite(cp, Gt, t))
+        case GreaterThanOrEqual(t, cp: CpMaskExpr) if rewritable(cp) && t.deterministic => Not(rewrite(cp, Gt, t))
       }
       if (rewritten fastEquals cond) f else f.copy(condition = rewritten)
   }

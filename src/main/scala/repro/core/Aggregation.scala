@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{DataFrame, Dataset, Encoder}
+import org.apache.spark.sql.functions.col
 
 import repro.store.{CatalogRow, MaskStore}
 
@@ -112,12 +113,14 @@ final case class GroupTopKResult(groups: Array[(Long, Double)], stats: QueryStat
   */
 object Aggregation {
 
-  /** `f(image_id, member rows by mask_id)` for every group, via a
-    * distributed group-by over `rows`.
+  /** `f(image_id, member rows by mask_id)` for every group. The group-by is
+    * on the `image_id` column, so on a catalog already hash-partitioned by
+    * image ([[MaskStore.materialize]]) Spark plans no shuffle; on any other
+    * layout it inserts the exchange itself.
     */
-  private def perGroup[T: Encoder](rows: Dataset[CatalogRow])(f: (Long, Seq[CatalogRow]) => T): Array[T] = {
+  private[core] def perGroup[T: Encoder](rows: Dataset[CatalogRow])(f: (Long, Seq[CatalogRow]) => T): Dataset[T] = {
     import rows.sparkSession.implicits._
-    rows.groupByKey(_.image_id).mapGroups((img, it) => f(img, it.toSeq.sortBy(_.mask_id))).collect()
+    rows.groupBy(col("image_id")).as[Long, CatalogRow].mapGroups((img, it) => f(img, it.toSeq.sortBy(_.mask_id)))
   }
 
   /** `HAVING value op T` over groups. Returns the qualifying image ids. Both
@@ -138,7 +141,7 @@ object Aggregation {
       FilterVerify.decide(img, op.classify(lo, hi, threshold)) {
         op.holds(value.exact(rows, r => store.loadPath(r.path)), threshold)
       }
-    }
+    }.collect()
     val (groups, st) = FilterVerify.tally(decided, stats)
     GroupFilterResult(groups.sorted, st)
   }
@@ -159,12 +162,12 @@ object Aggregation {
     val bounds = perGroup(targeted) { (img, rows) =>
       val (lo, hi) = value.bounds(rows, chi.value)
       (img, lo, hi)
-    }
+    }.collect()
     val (top, nResolved) = TopK.boundPruned(bounds, k, descending, identity[Long]) { groups =>
       val ids = catalog.sparkSession.sparkContext.broadcast(groups.toSet)
       perGroup(targeted.filter(r => ids.value.contains(r.image_id))) { (img, rows) =>
         (img, value.exact(rows, r => store.loadPath(r.path)))
-      }
+      }.collect()
     }
     GroupTopKResult(top, stats(bounds.length, bounds.length - nResolved, 0, nResolved))
   }

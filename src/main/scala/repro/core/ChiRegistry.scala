@@ -57,7 +57,9 @@ object ChiRegistry {
   /** Like [[build]], but additionally indexes the per-image INTERSECT
     * (pixel-wise minimum) aggregated mask under `AggIdBase + image_id`,
     * loading each mask only once per group. Used by mask-aggregation queries
-    * (the paper's Q5) so their filter stage has first-class bounds.
+    * (the paper's Q5) so their filter stage has first-class bounds. Groups
+    * through [[Aggregation.perGroup]], so a catalog clustered by image is
+    * indexed without a shuffle.
     */
   def buildWithAggregates(
       spark: SparkSession,
@@ -66,18 +68,13 @@ object ChiRegistry {
       cfg: ChiConfig,
   ): ChiRegistry = {
     import spark.implicits._
-    val built = catalog
-      .as[CatalogRow]
-      .groupByKey(_.image_id)
-      .flatMapGroups { (img, it) =>
-        val rows = it.toSeq.sortBy(_.mask_id)
-        val masks = rows.map(r => store.loadPath(r.path))
-        val per = masks.map(m => ChiIndex.build(m, cfg))
-        val agg = ChiIndex.build(Mask.intersect(masks).copy(id = AggIdBase + img), cfg)
-        (per :+ agg).map(i => (i.maskId, i.w, i.h, i.counts))
-      }
-      .collect()
-    fromRows(cfg, built)
+    val built = Aggregation.perGroup(catalog.as[CatalogRow]) { (img, rows) =>
+      val masks = rows.map(r => store.loadPath(r.path))
+      val per = masks.map(m => ChiIndex.build(m, cfg))
+      val agg = ChiIndex.build(Mask.intersect(masks).copy(id = AggIdBase + img), cfg)
+      (per :+ agg).map(i => (i.maskId, i.w, i.h, i.counts))
+    }
+    fromRows(cfg, built.collect().flatten)
   }
 
   /** Persist a registry as Parquet (`mask_id, w, h, counts` + config columns)

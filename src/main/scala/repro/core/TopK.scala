@@ -55,16 +55,23 @@ object TopK {
       if (bounds.length <= k) resolve(bounds)
       else {
         // Phase 1: seed with the k most promising items (by upper bound for
-        // descending order, lower bound for ascending) and get exact values.
-        val ranked =
-          if (descending) bounds.sortBy { case (x, _, hi) => (-hi, id(x)) }
-          else bounds.sortBy { case (x, lo, _) => (lo, id(x)) }
-        val seed = resolve(ranked.take(k))
+        // descending order, lower bound for ascending; ties by ascending id)
+        // and get exact values. The seeds are the items ranked at or before
+        // the k-th, which a partial selection finds without sorting all N.
+        val key = bounds.map { case (_, lo, hi) => if (descending) -hi else lo }
+        val ids = bounds.map(t => id(t._1))
+        def cmp(i: Int, j: Int): Int = {
+          val c = java.lang.Double.compare(key(i), key(j))
+          if (c != 0) c else java.lang.Long.compare(ids(i), ids(j))
+        }
+        val kth = kthSmallest(bounds.length, k)(cmp)
+        val (seedIdx, restIdx) = Array.range(0, bounds.length).partition(i => cmp(i, kth) <= 0)
+        val seed = resolve(seedIdx.map(bounds))
         val tau =
           if (descending) seed.map(_._2).sorted(Ordering[Double].reverse).apply(k - 1)
           else seed.map(_._2).sorted.apply(k - 1)
         // Phase 2: a remaining item survives only if its bound can meet τ.
-        val rest = ranked.drop(k)
+        val rest = restIdx.map(bounds)
         val candidates =
           if (descending) rest.filter { case (_, _, hi) => hi >= tau }
           else rest.filter { case (_, lo, _) => lo <= tau }
@@ -75,6 +82,17 @@ object TopK {
       if (descending) exact.sortBy { case (x, v) => (-v, id(x)) }
       else exact.sortBy { case (x, v) => (v, id(x)) }
     (ordered.take(k), exact.length)
+  }
+
+  /** The index of the k-th smallest of items `0 until n` under the total
+    * order `cmp` (1 ≤ k ≤ n): a max-heap of the k best seen so far, O(n log k).
+    */
+  private def kthSmallest(n: Int, k: Int)(cmp: (Int, Int) => Int): Int = {
+    val heap = new java.util.PriorityQueue[Integer](k, (a: Integer, b: Integer) => cmp(b, a))
+    for (i <- 0 until n)
+      if (heap.size < k) heap.add(i)
+      else if (cmp(i, heap.peek) < 0) { heap.poll(); heap.add(i) }
+    heap.peek
   }
 
   def masks(

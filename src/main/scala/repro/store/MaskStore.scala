@@ -5,6 +5,7 @@ import java.nio.{ByteBuffer, ByteOrder}
 import java.nio.file.{Files, Paths}
 
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.functions.col
 import org.apache.spark.util.LongAccumulator
 
 import repro.core.Mask
@@ -71,6 +72,12 @@ object MaskStore {
     * completion marker) and return its catalog as a DataFrame. The generation
     * job is a Spark range scan fanned out over executors — the dataflow
     * equivalent of the paper's GPU mask-production step.
+    *
+    * The catalog is backed by an RDD, so its rows are not embedded in every
+    * query plan built on it, and it is hash-partitioned by `image_id` into
+    * `defaultParallelism` partitions, so a cached catalog can be grouped by
+    * image without a shuffle (see `Aggregation.perGroup`). No engine relies
+    * on this layout; it only saves work.
     */
   def materialize(spark: SparkSession, ds: MaskDatasetDef, base: String): (MaskStore, DataFrame) = {
     val store = MaskStore(spark, base)
@@ -87,7 +94,9 @@ object MaskStore {
       Files.createFile(marker)
     }
     import spark.implicits._
-    (store, MaskGen.catalog(ds, store).toDF())
+    val sc = spark.sparkContext
+    val catalog = spark.createDataset(sc.parallelize(MaskGen.catalog(ds, store))).toDF()
+    (store, catalog.repartition(sc.defaultParallelism, col("image_id")))
   }
 
   /** Typed view of a catalog DataFrame. */

@@ -75,6 +75,23 @@ class CatalystSpec extends SparkSpec {
     assert(loadsOn < loadsOff)
   }
 
+  test("rule rewrite: cp >= T and cp <= T, either operand order, match FilterVerify at T - 1 and T + 1") {
+    val roi = Roi(8, 8, 28, 28)
+    val call = cpCall(8, 8, 28, 28, 0.6, 1.0)
+    def fv(op: CmpOp, t: Int) =
+      FilterVerify.execute(catalogM1, Predicate(CpExpr.term(ConstRoi(roi), 0.6, 1.0), op, t), store, chiBc)
+    for ((cond, op, t) <- Seq((s"$call >= 60", Gt, 59), (s"60 <= $call", Gt, 59),
+                              (s"$call <= 60", Lt, 61), (s"60 >= $call", Lt, 61))) {
+      val (ids, loads) = run(catalogM1.filter(expr(cond)), ruleOn = true)
+      val want = fv(op, t)
+      assert(ids == want.maskIds.toSeq, cond)
+      assert(loads == want.stats.masksLoaded, cond)
+      assert(loads < ds.nImages, cond)
+      val (idsOff, _) = run(catalogM1.filter(expr(cond)), ruleOn = false)
+      assert(ids == idsOff, cond)
+    }
+  }
+
   test("rule rewrite works with per-mask object ROIs (paper Q2 shape)") {
     val (loadsOff, loadsOn) = compareBothModes(s"${objCall(0.8, 1.0)} > 40")
     assert(loadsOn < loadsOff)

@@ -1,12 +1,17 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.exchange.ShuffleExchangeLike
+
 import repro.{SparkSpec, TestData}
 import repro.baseline.ScanBaseline
+import repro.store.MaskStore
 
 /** Integration tests for scalar aggregation and mask aggregation (§3.4):
   * group filters and group top-k against the exhaustive baseline.
   */
-class AggregationSpec extends SparkSpec {
+class AggregationSpec extends SparkSpec with AdaptiveSparkPlanHelper {
   import TestData._
 
   private val meanCp = ScalarAggValue(AvgAgg, CpExpr.term(ObjectRoi, 0.8, 1.0))
@@ -106,5 +111,38 @@ class AggregationSpec extends SparkSpec {
     val st = Aggregation.filterGroups(catalog, meanCp, Gt, 40, store, chiBc).stats
     assert(st.nTargeted == ds.nImages)
     assert(st.nTargeted == st.nPruned + st.nDirect + st.nUncertain)
+  }
+
+  /** The shuffle exchanges of an executed group pass, inside the adaptive plan. */
+  private def shufflesOfGroupPass(catalog: DataFrame): Seq[ShuffleExchangeLike] = {
+    import spark.implicits._
+    val pass = Aggregation.perGroup(MaskStore.asRows(catalog))((img, rows) => (img, rows.size))
+    assert(pass.collect().map(_._2).sum == ds.nMasks)
+    collect(pass.queryExecution.executedPlan) { case e: ShuffleExchangeLike => e }
+  }
+
+  test("the group pass over the catalog (clustered by image) plans no shuffle") {
+    assert(shufflesOfGroupPass(catalog).isEmpty)
+    // The check sees a shuffle where one is needed.
+    assert(shufflesOfGroupPass(catalog.repartition(3)).nonEmpty)
+  }
+
+  test("group queries on a catalog not clustered by image match the clustered catalog and the baseline") {
+    val unclustered = catalog.repartition(3)
+    def counts(st: QueryStats) = (st.nTargeted, st.nPruned, st.nDirect, st.nUncertain, st.masksLoaded)
+    for ((value, op, t) <- Seq((meanCp, Gt, 30.0), (intersectCp, Gt, 20.0))) {
+      val a = Aggregation.filterGroups(catalog, value, op, t, store, chiBc)
+      val b = Aggregation.filterGroups(unclustered, value, op, t, store, chiBc)
+      val base = ScanBaseline.filterGroups(unclustered, value, op, t, store)
+      assert(b.groups.toSeq == a.groups.toSeq && b.groups.toSeq == base.groups.toSeq, s"filter $value")
+      assert(counts(b.stats) == counts(a.stats), s"filter $value")
+    }
+    for (value <- Seq(meanCp, intersectCp); desc <- Seq(true, false)) {
+      val a = Aggregation.topKGroups(catalog, value, 25, desc, store, chiBc)
+      val b = Aggregation.topKGroups(unclustered, value, 25, desc, store, chiBc)
+      val base = ScanBaseline.topKGroups(unclustered, value, 25, desc, store)
+      assert(b.groups.toSeq == a.groups.toSeq && b.groups.toSeq == base.groups.toSeq, s"top-k $value desc=$desc")
+      assert(counts(b.stats) == counts(a.stats), s"top-k $value desc=$desc")
+    }
   }
 }

@@ -61,4 +61,56 @@ class TopKSpec extends SparkSpec {
       check(expr, 25, r.nextBoolean())
     }
   }
+
+  /** Runs [[TopK.boundPruned]] over `(id, lower, upper)` bounds with exact
+    * values `value(id)`; returns the top k, the resolved count and the id
+    * sets passed to each verify call.
+    */
+  private def pruned(bounds: Array[(Long, Double, Double)], k: Int, desc: Boolean)(value: Long => Double) = {
+    val calls = scala.collection.mutable.ArrayBuffer.empty[Set[Long]]
+    val (top, n) = TopK.boundPruned(bounds, k, desc, identity[Long]) { ids =>
+      calls += ids.toSet
+      ids.map(i => (i, value(i)))
+    }
+    (top.toSeq, n, calls.toSeq)
+  }
+
+  test("bound-pruned top-k seeds by (bound, id) when many bounds tie at the k-th place") {
+    // ids 30..32 have the best bound; ids 0..29 tie just behind them.
+    val value = (i: Long) => if (i >= 30) 50.0 - i else 10.0 - i % 4
+    val shuffled = new scala.util.Random(3).shuffle((0L until 33L).toVector).toArray
+    val byUpper = shuffled.map(i => (i, 0.0, if (i >= 30) 20.0 else 10.0))
+    val (top, n, calls) = pruned(byUpper, 5, desc = true)(value)
+    assert(calls.head == Set(30L, 31L, 32L, 0L, 1L))
+    // τ = 9 (id 1): every tied id can still reach it and is verified.
+    assert(calls(1) == (2L until 30L).toSet && n == 33)
+    assert(top == Seq((30L, 20.0), (31L, 19.0), (32L, 18.0), (0L, 10.0), (4L, 10.0)))
+
+    val byLower = shuffled.map(i => (i, if (i >= 30) 1.0 else 5.0, 100.0))
+    val (topAsc, _, callsAsc) = pruned(byLower, 5, desc = false)(i => 100.0 - value(i))
+    assert(callsAsc.head == Set(30L, 31L, 32L, 0L, 1L))
+    assert(topAsc.map(_._1) == Seq(30L, 31L, 32L, 0L, 4L))
+  }
+
+  test("bound-pruned top-k matches a full sort of the bounds on random tied bounds") {
+    for (seed <- 0 until 50) {
+      val r = new scala.util.Random(seed)
+      val n = 1 + r.nextInt(60)
+      val k = 1 + r.nextInt(n + 2)
+      val desc = r.nextBoolean()
+      val value = (0 until n).map(_ => r.nextInt(6).toDouble).toArray
+      val bounds = r.shuffle((0 until n).toVector).map { i =>
+        val lo = value(i) - (if (r.nextInt(4) == 0) 0 else r.nextInt(3))
+        val hi = value(i) + (if (r.nextInt(4) == 0) 0 else r.nextInt(3))
+        (i.toLong, lo, hi)
+      }.toArray
+      val (top, _, calls) = pruned(bounds, k, desc)(i => value(i.toInt))
+      val ranked = bounds.sortBy { case (i, lo, hi) => (if (desc) -hi else lo, i) }
+      val seeds = ranked.take(k).filter(t => t._2 != t._3).map(_._1).toSet
+      if (n > k && seeds.nonEmpty) assert(calls.head == seeds, s"seed=$seed")
+      val exact = bounds.map(t => (t._1, value(t._1.toInt)))
+      val want = exact.sortBy { case (i, v) => (if (desc) -v else v, i) }.take(k).toSeq
+      assert(top == want, s"seed=$seed")
+    }
+  }
 }

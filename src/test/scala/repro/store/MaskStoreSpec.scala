@@ -13,6 +13,15 @@ class MaskStoreSpec extends SparkSpec {
     assert(paths.forall(p => new java.io.File(p).isFile))
   }
 
+  test("materialize keeps the catalog rows out of the query plan, one row per mask") {
+    import org.apache.spark.sql.catalyst.plans.logical.LocalRelation
+    val (_, fresh) = MaskStore.materialize(spark, ds, "target/testdata/unit")
+    assert(fresh.queryExecution.logical.collectFirst { case l: LocalRelation => l }.isEmpty,
+      fresh.queryExecution.logical.toString)
+    val ids = fresh.select("mask_id").collect().map(_.getLong(0))
+    assert(ids.sorted.toSeq == ds.maskIds.map(_.toLong))
+  }
+
   test("write/load roundtrip preserves id, shape and pixels") {
     val m = MaskGen.generate(ds, 17)
     val loaded = store.load(17)
